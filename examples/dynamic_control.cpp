@@ -52,9 +52,9 @@ const asci::AppSpec& stepped_app() {
         std::vector<std::int64_t> arg(1, dump_stats ? 1 : 0);
         co_await t.lib_call("VT_confsync", arg);
 
-        co_await ctx.leaf_repeat(t, "solve_pressure", 4000, sim::microseconds(40));
-        co_await ctx.leaf_repeat(t, "solve_velocity", 4000, sim::microseconds(35));
-        co_await ctx.leaf(t, "apply_bc", sim::milliseconds(25));
+        co_await ctx.leaf_repeat(t, ctx.fid("solve_pressure"), 4000, sim::microseconds(40));
+        co_await ctx.leaf_repeat(t, ctx.fid("solve_velocity"), 4000, sim::microseconds(35));
+        co_await ctx.leaf(t, ctx.fid("apply_bc"), sim::milliseconds(25));
         co_await ctx.mpi()->allreduce(t, 8);
       }
     };

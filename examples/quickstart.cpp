@@ -48,10 +48,10 @@ const asci::AppSpec& mini_app() {
       for (int step = 0; step < 20; ++step) {
         // 5k stencil calls of ~20 us each, executed through the probe
         // protocol (one real call + an exact aggregate charge).
-        co_await ctx.leaf_repeat(t, "stencil", 5'000, sim::microseconds(20));
+        co_await ctx.leaf_repeat(t, ctx.fid("stencil"), 5'000, sim::microseconds(20));
         co_await ctx.mpi()->allreduce(t, 8);
       }
-      co_await ctx.leaf(t, "checkpoint", sim::milliseconds(30));
+      co_await ctx.leaf(t, ctx.fid("checkpoint"), sim::milliseconds(30));
     };
     return s;
   }();

@@ -12,6 +12,9 @@
 // charged time, while keeping host-side event counts bounded.  The
 // aggregated calls still update VT statistics and the virtual trace-size
 // counter (see vt::VtLib::note_synthetic_pairs).
+//
+// Bodies name functions by image::FunctionId, resolved from the symbol
+// table once when the AppSpec is built (AppSpec::fid), never per call.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +65,10 @@ struct AppSpec {
   BodyFn body;
 
   std::size_t user_function_count() const;
+
+  /// Id of `name` in `symbols`; throws when the kernel has no such function.
+  /// For resolving a body's functions once, when the spec is built.
+  image::FunctionId fid(std::string_view name) const;
 };
 
 struct AppParams {
@@ -98,18 +105,20 @@ class AppContext {
   int rank() const { return mpi_ != nullptr ? mpi_->rank() : 0; }
   int nprocs() const { return params_.nprocs; }
 
+  /// spec().fid(name), for set-up paths (bodies resolve their functions
+  /// once per AppSpec instead).
   image::FunctionId fid(std::string_view name) const;
 
-  /// Call `name` through the instrumentation protocol with a custom body.
-  sim::Coro<void> call(proc::SimThread& thread, std::string_view name,
+  /// Call `fn` through the instrumentation protocol with a custom body.
+  sim::Coro<void> call(proc::SimThread& thread, image::FunctionId fn,
                        proc::SimThread::BodyFn body);
 
   /// Call a leaf function that burns `work` CPU time.
-  sim::Coro<void> leaf(proc::SimThread& thread, std::string_view name, sim::TimeNs work);
+  sim::Coro<void> leaf(proc::SimThread& thread, image::FunctionId fn, sim::TimeNs work);
 
   /// Call a leaf `count` times with `work_each` per call: full protocol
   /// once, remainder charged in aggregate at the steady-state per-call cost.
-  sim::Coro<void> leaf_repeat(proc::SimThread& thread, std::string_view name,
+  sim::Coro<void> leaf_repeat(proc::SimThread& thread, image::FunctionId fn,
                               std::int64_t count, sim::TimeNs work_each);
 
   /// Iteration count scaled by problem_scale (>= 1).

@@ -71,7 +71,30 @@ std::vector<std::string> solver_names(const image::SymbolTable& symbols) {
   return out;
 }
 
-sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
+/// The body's functions, resolved once per AppSpec.
+struct Fids {
+  image::FunctionId setup[kSetupFns];
+  image::FunctionId util[kUtilFns];
+  std::vector<image::FunctionId> solvers;  ///< solver_names() order
+  image::FunctionId residual;
+};
+
+std::shared_ptr<const Fids> resolve(const AppSpec& spec) {
+  auto ids = std::make_shared<Fids>();
+  for (int i = 0; i < kSetupFns; ++i) {
+    ids->setup[i] = spec.fid(str::format("hypre_smg_setup_%02d", i));
+  }
+  for (int i = 0; i < kUtilFns; ++i) {
+    ids->util[i] = spec.fid(str::format("hypre_BoxLoop_%03d", i));
+  }
+  for (const std::string& name : solver_names(*spec.symbols)) {
+    ids->solvers.push_back(spec.fid(name));
+  }
+  ids->residual = spec.fid("hypre_SMGResidual");
+  return ids;
+}
+
+sim::Coro<void> body(std::shared_ptr<const Fids> ids, AppContext& ctx, proc::SimThread& thread) {
   const int p = ctx.nprocs();
   const int rank = ctx.rank();
   Rng& rng = ctx.rng();
@@ -79,7 +102,7 @@ sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
 
   // --- setup phase: every setup routine runs once -------------------------
   for (int i = 0; i < kSetupFns; ++i) {
-    co_await ctx.leaf(thread, str::format("hypre_smg_setup_%02d", i),
+    co_await ctx.leaf(thread, ids->setup[i],
                       sim::nanoseconds(rng.normal_at_least(9.0e6, 2.0e6, 1.0e6)));
   }
   if (mpi != nullptr) co_await mpi->allreduce(thread, 8);
@@ -87,7 +110,7 @@ sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
   // --- V-cycles -------------------------------------------------------------
   const double log_p = p > 1 ? std::log2(static_cast<double>(p)) : 0.0;
   const std::int64_t cycles = ctx.iters(6.0 + log_p);
-  const auto solvers = solver_names(ctx.process().image().symbols());
+  const std::vector<image::FunctionId>& solvers = ids->solvers;
 
   for (std::int64_t it = 0; it < cycles; ++it) {
     for (int level = 0; level < kLevels; ++level) {
@@ -98,18 +121,17 @@ sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
         const std::int64_t count = kUtilCallsBase >> level;
         const auto work =
             sim::nanoseconds(rng.normal_at_least(kUtilWorkNs, kUtilWorkNs * 0.15, 80));
-        co_await ctx.leaf_repeat(thread, str::format("hypre_BoxLoop_%03d", util), count,
-                                 work);
+        co_await ctx.leaf_repeat(thread, ids->util[util], count, work);
         // Natural safe point: between box-loop batches, outside any
         // communication (offered on every rank at the same spot).
         co_await ctx.safe_point(thread);
       }
       // Coarse-grained solver routines (the instrumented subset).
       for (int k = 0; k < kSolverCallsPerLevel; ++k) {
-        const auto& name = solvers[(level * kSolverCallsPerLevel + k +
-                                    static_cast<int>(it) * 3) % solvers.size()];
+        const image::FunctionId solver = solvers[(level * kSolverCallsPerLevel + k +
+                                                  static_cast<int>(it) * 3) % solvers.size()];
         const double mean = kSolverWorkNs / static_cast<double>(1 << level);
-        co_await ctx.leaf(thread, name,
+        co_await ctx.leaf(thread, solver,
                           sim::nanoseconds(rng.normal_at_least(mean, mean * 0.1, 1000)));
       }
       // Halo exchange with ring neighbours (surface shrinks with level).
@@ -122,7 +144,7 @@ sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
       }
     }
     // Convergence check.
-    co_await ctx.leaf(thread, "hypre_SMGResidual",
+    co_await ctx.leaf(thread, ids->residual,
                       sim::nanoseconds(rng.normal_at_least(12.0e6, 1.0e6, 1.0e6)));
     if (mpi != nullptr) co_await mpi->allreduce(thread, 16);
   }
@@ -143,7 +165,9 @@ const AppSpec& smg98() {
     s.symbols = build_symbols();
     s.subset = solver_names(*s.symbols);
     s.dynamic_list = s.subset;
-    s.body = body;
+    s.body = [ids = resolve(s)](AppContext& ctx, proc::SimThread& thread) {
+      return body(ids, ctx, thread);
+    };
     return s;
   }();
   return spec;

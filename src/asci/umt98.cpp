@@ -46,15 +46,36 @@ std::shared_ptr<const image::SymbolTable> build_symbols() {
   return symbols;
 }
 
-sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
+/// The body's functions, resolved once per AppSpec.
+struct Fids {
+  image::FunctionId core[6];  ///< kCore order
+  image::FunctionId hot[kHotFns];
+  image::FunctionId init[kInitFns];
+};
+
+std::shared_ptr<const Fids> resolve(const AppSpec& spec) {
+  auto ids = std::make_shared<Fids>();
+  for (int i = 0; i < 6; ++i) ids->core[i] = spec.fid(kCore[i]);
+  for (int i = 0; i < kHotFns; ++i) ids->hot[i] = spec.fid(str::format("umt_flux_%02d", i));
+  for (int i = 0; i < kInitFns; ++i) ids->init[i] = spec.fid(str::format("umt_init_%02d", i));
+  return ids;
+}
+
+// kCore indices of the kernels the body calls by role.
+constexpr int kSnmoments = 3;
+constexpr int kSnqq = 4;
+constexpr int kSntal = 5;
+
+sim::Coro<void> body(std::shared_ptr<const Fids> ids, AppContext& ctx, proc::SimThread& thread) {
   const int t_count = ctx.nprocs();  // OpenMP threads
   Rng& rng = ctx.rng();
   omp::OmpRuntime* omp = ctx.omp();
   DT_ASSERT(omp != nullptr, "umt98 requires the OpenMP runtime");
+  const Fids* f = ids.get();
 
   // --- serial initialization (most of the 44 functions live here) ---------
   for (int i = 0; i < kInitFns; ++i) {
-    co_await ctx.leaf(thread, str::format("umt_init_%02d", i),
+    co_await ctx.leaf(thread, f->init[i],
                       sim::nanoseconds(rng.normal_at_least(120e6, 25e6, 5e6)));
   }
 
@@ -62,39 +83,38 @@ sim::Coro<void> body(AppContext& ctx, proc::SimThread& thread) {
   const std::int64_t hot_calls_per_thread = kHotCallsPerStep / t_count;
 
   for (std::int64_t step = 0; step < steps; ++step) {
-    co_await ctx.leaf(thread, "snqq",
+    co_await ctx.leaf(thread, f->core[kSnqq],
                       sim::nanoseconds(rng.normal_at_least(kSerialStepWorkNs * 0.1,
                                                            8e6, 1e6)));
     // The transport sweep: one parallel region per timestep.
     co_await omp->parallel(
         thread,
-        [&ctx, step, hot_calls_per_thread](proc::SimThread& worker, int tnum,
-                                           int nthreads) -> sim::Coro<void> {
+        [&ctx, f, step, hot_calls_per_thread](proc::SimThread& worker, int tnum,
+                                              int nthreads) -> sim::Coro<void> {
           // Each thread runs the core sweep kernels over its zone share;
           // the kernels call the hot flux helpers per (zone, angle).
           for (int c = 0; c < 3; ++c) {
-            const char* core = kCore[(c + static_cast<int>(step)) % 6];
+            const image::FunctionId core = f->core[(c + static_cast<int>(step)) % 6];
             co_await ctx.call(
                 worker, core,
-                [&ctx, tnum, c, step, hot_calls_per_thread](proc::SimThread& t)
+                [&ctx, f, tnum, c, step, hot_calls_per_thread](proc::SimThread& t)
                     -> sim::Coro<void> {
                   co_await t.compute(sim::microseconds(300));
                   const int hot = (c * 2 + tnum + static_cast<int>(step)) % kHotFns;
-                  co_await ctx.leaf_repeat(
-                      t, str::format("umt_flux_%02d", hot), hot_calls_per_thread / 3,
-                      sim::nanoseconds(kHotWorkNs));
+                  co_await ctx.leaf_repeat(t, f->hot[hot], hot_calls_per_thread / 3,
+                                           sim::nanoseconds(kHotWorkNs));
                 });
           }
           // Worksharing loop: angular moment accumulation.
           co_await ctx.omp()->for_each(
               worker, tnum, /*iterations=*/96, omp::Schedule::kDynamic, /*chunk=*/4,
-              [&ctx](proc::SimThread& t, std::int64_t) -> sim::Coro<void> {
-                co_await ctx.leaf(t, "snmoments", sim::microseconds(900));
+              [&ctx, f](proc::SimThread& t, std::int64_t) -> sim::Coro<void> {
+                co_await ctx.leaf(t, f->core[kSnmoments], sim::microseconds(900));
               });
           (void)nthreads;
         });
     // Serial convergence bookkeeping.
-    co_await ctx.leaf(thread, "sntal",
+    co_await ctx.leaf(thread, f->core[kSntal],
                       sim::nanoseconds(rng.normal_at_least(kSerialStepWorkNs * 0.05,
                                                            4e6, 1e6)));
   }
@@ -115,7 +135,9 @@ const AppSpec& umt98() {
     s.symbols = build_symbols();
     s.subset.assign(std::begin(kCore), std::end(kCore));
     s.dynamic_list = s.subset;
-    s.body = body;
+    s.body = [ids = resolve(s)](AppContext& ctx, proc::SimThread& thread) {
+      return body(ids, ctx, thread);
+    };
     return s;
   }();
   return spec;

@@ -196,9 +196,12 @@ sim::Coro<int> CommDaemon::execute(const Request& request, double degrade) {
         co_await engine.sleep(degraded(costs.dpcl_patch_per_probe / 4, degrade));
         auto& img = process.image();
         for (const auto where : {image::ProbeWhere::kEntry, image::ProbeWhere::kExit}) {
+          // Collect handles first: every toggle republishes the point.
+          std::vector<image::ProbeHandle> handles;
           for (const auto& probe : img.probe_point(request.fn, where).minis) {
-            img.set_probe_active(probe.handle, request.active);
+            handles.push_back(probe.handle);
           }
+          for (const auto handle : handles) img.set_probe_active(handle, request.active);
         }
         break;
       }

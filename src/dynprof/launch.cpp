@@ -214,19 +214,19 @@ sim::Coro<void> Launch::rank_main(int pid, proc::SimThread& thread) {
   // OpenMP side needs no cross-process synchronisation for VT init).
   const bool is_mpi = app.model != asci::AppSpec::Model::kOpenMP;
 
-  co_await ctx.call(thread, "main", [&](proc::SimThread& t) -> sim::Coro<void> {
+  co_await ctx.call(thread, ctx.fid("main"), [&](proc::SimThread& t) -> sim::Coro<void> {
     if (is_mpi) {
       // The VT library initialises itself inside MPI_Init through the MPI
       // wrapper interface (§3.4) -- and dynprof's initialization snippet
       // (Figure 6) runs at this function's *exit* probe point.
-      co_await ctx.call(t, "MPI_Init", [&](proc::SimThread& t2) -> sim::Coro<void> {
+      co_await ctx.call(t, ctx.fid("MPI_Init"), [&](proc::SimThread& t2) -> sim::Coro<void> {
         co_await world_->rank(pid).init(t2);
         co_await vt(pid).vt_init(t2);
       });
     } else {
       // OpenMP: Guide inserts VT_init at the start of main; dynprof's
       // callback+spin snippet runs at VT_init's exit (§3.4).
-      co_await ctx.call(t, "VT_init", [&](proc::SimThread& t2) -> sim::Coro<void> {
+      co_await ctx.call(t, ctx.fid("VT_init"), [&](proc::SimThread& t2) -> sim::Coro<void> {
         co_await vt(pid).vt_init(t2);
       });
     }
@@ -246,7 +246,7 @@ sim::Coro<void> Launch::rank_main(int pid, proc::SimThread& thread) {
     co_await app.body(ctx, t);
 
     if (is_mpi) {
-      co_await ctx.call(t, "MPI_Finalize", [&](proc::SimThread& t2) -> sim::Coro<void> {
+      co_await ctx.call(t, ctx.fid("MPI_Finalize"), [&](proc::SimThread& t2) -> sim::Coro<void> {
         co_await vt(pid).vt_finalize(t2);
         co_await world_->rank(pid).finalize(t2);
       });

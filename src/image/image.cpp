@@ -30,63 +30,76 @@ std::size_t ProgramImage::static_instrumented_count() const {
   return n;
 }
 
-ProbePoint& ProgramImage::point(FunctionId fn, ProbeWhere where) {
+const ProgramImage::PointPtr& ProgramImage::point_ptr(FunctionId fn, ProbeWhere where) const {
   DT_ASSERT(fn < state_.size(), "function id out of range");
   return state_[fn].points[static_cast<int>(where)];
 }
 
 const ProbePoint& ProgramImage::point(FunctionId fn, ProbeWhere where) const {
-  DT_ASSERT(fn < state_.size(), "function id out of range");
-  return state_[fn].points[static_cast<int>(where)];
+  static const ProbePoint kUnpatched;
+  const PointPtr& p = point_ptr(fn, where);
+  return p != nullptr ? *p : kUnpatched;
+}
+
+void ProgramImage::publish(FunctionId fn, ProbeWhere where, ProbePoint p) {
+  p.chain.clear();
+  for (const auto& probe : p.minis) {
+    if (probe.active) p.chain.push_back(probe.snippet);
+  }
+  state_[fn].points[static_cast<int>(where)] =
+      p.minis.empty() ? nullptr : std::make_shared<const ProbePoint>(std::move(p));
+  ++patch_epoch_;
 }
 
 ProbeHandle ProgramImage::install_probe(FunctionId fn, ProbeWhere where, SnippetPtr snippet,
                                         bool active) {
   DT_ASSERT(snippet != nullptr, "cannot install a null snippet");
-  ProbePoint& p = point(fn, where);
+  ProbePoint p = point(fn, where);
   const ProbeHandle handle{next_handle_++};
   p.minis.push_back(InstalledProbe{handle, std::move(snippet), active});
-  ++patch_epoch_;
+  publish(fn, where, std::move(p));
   return handle;
 }
 
-InstalledProbe* ProgramImage::find_probe(ProbeHandle handle, FunctionId* fn_out,
-                                         ProbeWhere* where_out) {
+bool ProgramImage::find_probe(ProbeHandle handle, FunctionId* fn_out,
+                              ProbeWhere* where_out) const {
   for (FunctionId fn = 0; fn < state_.size(); ++fn) {
     for (int w = 0; w < 2; ++w) {
-      for (auto& probe : state_[fn].points[w].minis) {
+      const PointPtr& p = state_[fn].points[w];
+      if (p == nullptr) continue;
+      for (const auto& probe : p->minis) {
         if (probe.handle == handle) {
-          if (fn_out) *fn_out = fn;
-          if (where_out) *where_out = static_cast<ProbeWhere>(w);
-          return &probe;
+          *fn_out = fn;
+          *where_out = static_cast<ProbeWhere>(w);
+          return true;
         }
       }
-    }
-  }
-  return nullptr;
-}
-
-bool ProgramImage::remove_probe(ProbeHandle handle) {
-  FunctionId fn = kInvalidFunction;
-  ProbeWhere where = ProbeWhere::kEntry;
-  if (find_probe(handle, &fn, &where) == nullptr) return false;
-  auto& minis = point(fn, where).minis;
-  for (auto it = minis.begin(); it != minis.end(); ++it) {
-    if (it->handle == handle) {
-      minis.erase(it);
-      ++patch_epoch_;
-      return true;
     }
   }
   return false;
 }
 
+bool ProgramImage::remove_probe(ProbeHandle handle) {
+  FunctionId fn = kInvalidFunction;
+  ProbeWhere where = ProbeWhere::kEntry;
+  if (!find_probe(handle, &fn, &where)) return false;
+  ProbePoint p = point(fn, where);
+  std::erase_if(p.minis, [handle](const InstalledProbe& probe) { return probe.handle == handle; });
+  publish(fn, where, std::move(p));
+  return true;
+}
+
 bool ProgramImage::set_probe_active(ProbeHandle handle, bool active) {
-  InstalledProbe* probe = find_probe(handle, nullptr, nullptr);
-  if (probe == nullptr) return false;
-  if (probe->active != active) {
-    probe->active = active;
-    ++patch_epoch_;
+  FunctionId fn = kInvalidFunction;
+  ProbeWhere where = ProbeWhere::kEntry;
+  if (!find_probe(handle, &fn, &where)) return false;
+  ProbePoint p = point(fn, where);
+  for (auto& probe : p.minis) {
+    if (probe.handle == handle && probe.active != active) {
+      probe.active = active;
+      publish(fn, where, std::move(p));
+      break;
+    }
   }
   return true;
 }
@@ -95,30 +108,26 @@ const ProbePoint& ProgramImage::probe_point(FunctionId fn, ProbeWhere where) con
   return point(fn, where);
 }
 
-std::vector<SnippetPtr> ProgramImage::active_snippets(FunctionId fn, ProbeWhere where) const {
-  std::vector<SnippetPtr> out;
-  for (const auto& probe : point(fn, where).minis) {
-    if (probe.active) out.push_back(probe.snippet);
-  }
-  return out;
+std::shared_ptr<const SnippetChain> ProgramImage::active_chain(FunctionId fn,
+                                                               ProbeWhere where) const {
+  const PointPtr& p = point_ptr(fn, where);
+  if (p == nullptr || p->chain.empty()) return nullptr;
+  return std::shared_ptr<const SnippetChain>(p, &p->chain);  // shares the point's ownership
 }
 
 sim::TimeNs ProgramImage::trampoline_overhead(FunctionId fn, ProbeWhere where,
                                               const machine::CostModel& costs) const {
-  const ProbePoint& p = point(fn, where);
-  if (!p.has_base_trampoline()) return 0;
-  sim::TimeNs total = costs.tramp_jump + costs.tramp_save_regs + costs.tramp_restore_regs +
-                      costs.tramp_relocated_insn;
-  for (const auto& probe : p.minis) {
-    if (probe.active) total += costs.tramp_mini_dispatch;
-  }
-  return total;
+  const PointPtr& p = point_ptr(fn, where);
+  if (p == nullptr) return 0;  // no base trampoline
+  return costs.tramp_jump + costs.tramp_save_regs + costs.tramp_restore_regs +
+         costs.tramp_relocated_insn +
+         static_cast<sim::TimeNs>(p->chain.size()) * costs.tramp_mini_dispatch;
 }
 
 std::size_t ProgramImage::installed_probe_count() const {
   std::size_t n = 0;
   for (const auto& s : state_) {
-    n += s.points[0].minis.size() + s.points[1].minis.size();
+    for (const auto& p : s.points) n += p != nullptr ? p->minis.size() : 0;
   }
   return n;
 }
@@ -126,9 +135,7 @@ std::size_t ProgramImage::installed_probe_count() const {
 std::size_t ProgramImage::active_probe_count() const {
   std::size_t n = 0;
   for (const auto& s : state_) {
-    for (const auto& p : s.points) {
-      for (const auto& probe : p.minis) n += probe.active ? 1 : 0;
-    }
+    for (const auto& p : s.points) n += p != nullptr ? p->chain.size() : 0;
   }
   return n;
 }

@@ -36,10 +36,14 @@ struct InstalledProbe {
   bool active = true;
 };
 
+/// The active snippets of one probe point, in install order.
+using SnippetChain = std::vector<SnippetPtr>;
+
 /// One probe point (a function entry or exit).  The base trampoline exists
 /// while any mini-trampoline is installed, active or not.
 struct ProbePoint {
   std::vector<InstalledProbe> minis;
+  SnippetChain chain;  ///< the active minis' snippets, in install order
   bool has_base_trampoline() const { return !minis.empty(); }
 };
 
@@ -72,10 +76,17 @@ class ProgramImage {
   /// Activate / deactivate without removing.  Returns false if unknown.
   bool set_probe_active(ProbeHandle handle, bool active);
 
+  /// Valid until the point is next patched (a patch publishes a new point):
+  /// copy what you need before installing, removing or toggling probes.
   const ProbePoint& probe_point(FunctionId fn, ProbeWhere where) const;
 
   /// Snippets to execute at a probe point, in install order (active only).
-  std::vector<SnippetPtr> active_snippets(FunctionId fn, ProbeWhere where) const;
+  const SnippetChain& active_snippets(FunctionId fn, ProbeWhere where) const {
+    return point(fn, where).chain;
+  }
+  /// The same list as a shared snapshot (null when empty) for callers that
+  /// suspend while walking it: patching the point meanwhile leaves it intact.
+  std::shared_ptr<const SnippetChain> active_chain(FunctionId fn, ProbeWhere where) const;
 
   /// Structural trampoline cost of passing this probe point (jump, register
   /// save/restore, relocated instruction, one chain dispatch per active
@@ -95,14 +106,22 @@ class ProgramImage {
   std::uint64_t patch_epoch() const { return patch_epoch_; }
 
  private:
+  // Probe points are copy-on-write snapshots: a mutation publishes a new
+  // ProbePoint and never edits a published one, so a call walking a chain
+  // keeps the one it entered with while DPCL patches the point, and copies
+  // of an image share every point until one of them is patched.  An
+  // unpatched point is a null pointer.
+  using PointPtr = std::shared_ptr<const ProbePoint>;
   struct FunctionPatchState {
     bool static_instrumented = false;
-    ProbePoint points[2];  // indexed by ProbeWhere
+    PointPtr points[2];  // indexed by ProbeWhere
   };
 
-  ProbePoint& point(FunctionId fn, ProbeWhere where);
+  const PointPtr& point_ptr(FunctionId fn, ProbeWhere where) const;
   const ProbePoint& point(FunctionId fn, ProbeWhere where) const;
-  InstalledProbe* find_probe(ProbeHandle handle, FunctionId* fn_out, ProbeWhere* where_out);
+  /// Replace the point with `p` (an edited copy), rebuilding its chain.
+  void publish(FunctionId fn, ProbeWhere where, ProbePoint p);
+  bool find_probe(ProbeHandle handle, FunctionId* fn_out, ProbeWhere* where_out) const;
 
   std::shared_ptr<const SymbolTable> symbols_;
   std::vector<FunctionPatchState> state_;

@@ -1,8 +1,55 @@
 #include "image/snippet.hpp"
 
+#include <mutex>
 #include <sstream>
+#include <unordered_map>
+
+#include "image/symbols.hpp"
+#include "support/common.hpp"
 
 namespace dyntrace::image {
+
+namespace {
+
+/// The process-wide name -> slot table.  Function-local so it is ready for
+/// libraries linked from other static initialisers.
+struct LibNameTable {
+  std::mutex mutex;
+  std::vector<std::string> names;
+  std::unordered_map<std::string, LibSlot, StringHash, std::equal_to<>> slots;
+
+  LibNameTable() {
+    for (const char* fixed : {"VT_begin", "VT_end"}) intern(fixed);
+  }
+  LibSlot intern(std::string_view name) {
+    const auto it = slots.find(name);
+    if (it != slots.end()) return it->second;
+    const auto slot = static_cast<LibSlot>(names.size());
+    names.emplace_back(name);
+    slots.emplace(names.back(), slot);
+    return slot;
+  }
+};
+
+LibNameTable& lib_names() {
+  static LibNameTable table;
+  return table;
+}
+
+}  // namespace
+
+LibSlot intern_library_name(std::string_view name) {
+  LibNameTable& table = lib_names();
+  std::lock_guard<std::mutex> lock(table.mutex);
+  return table.intern(name);
+}
+
+std::string library_name(LibSlot slot) {
+  LibNameTable& table = lib_names();
+  std::lock_guard<std::mutex> lock(table.mutex);
+  DT_ASSERT(slot < table.names.size(), "library slot ", slot, " was never interned");
+  return table.names[slot];
+}
 
 namespace {
 
@@ -58,8 +105,9 @@ namespace snippet {
 SnippetPtr noop() { return std::make_shared<const Snippet>(Snippet::Node{NoOp{}}); }
 
 SnippetPtr call(std::string function, std::vector<std::int64_t> args) {
+  const LibSlot slot = intern_library_name(function);
   return std::make_shared<const Snippet>(
-      Snippet::Node{CallLibOp{std::move(function), std::move(args)}});
+      Snippet::Node{CallLibOp{std::move(function), std::move(args), slot}});
 }
 
 SnippetPtr seq(std::vector<SnippetPtr> items) {

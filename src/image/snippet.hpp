@@ -10,15 +10,34 @@
 //
 // Execution semantics live in the proc layer (snippets can block, so
 // evaluation is a coroutine); this module only defines structure.
+//
+// Library entry-point names are interned into dense LibSlot ids when a
+// snippet is built (and when a library registers its functions), so a
+// probe that fires dispatches by index, never by name.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 namespace dyntrace::image {
+
+/// Dense id of an instrumentation-library entry-point name, shared by every
+/// process: slot i names the same function in every LibraryRegistry.
+using LibSlot = std::uint32_t;
+
+/// Pre-interned slots of the two entry points static instrumentation calls.
+inline constexpr LibSlot kVtBeginSlot = 0;
+inline constexpr LibSlot kVtEndSlot = 1;
+
+/// The slot of `name`, interning it on first use.  Thread-safe; the table is
+/// append-only, so a slot never changes meaning.  Not for per-call paths.
+LibSlot intern_library_name(std::string_view name);
+/// The name interned as `slot` (for diagnostics).
+std::string library_name(LibSlot slot);
 
 class Snippet;
 using SnippetPtr = std::shared_ptr<const Snippet>;
@@ -30,6 +49,7 @@ struct NoOp {};
 struct CallLibOp {
   std::string function;
   std::vector<std::int64_t> args;
+  LibSlot slot = 0;  ///< intern_library_name(function), set by snippet::call
 };
 
 /// Execute children in order.

@@ -15,7 +15,7 @@ FunctionId SymbolTable::add(std::string name, std::string module) {
 }
 
 const FunctionInfo* SymbolTable::find(std::string_view name) const {
-  const auto it = by_name_.find(std::string(name));
+  const auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : &functions_[it->second];
 }
 

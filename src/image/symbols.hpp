@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -15,6 +16,13 @@ namespace dyntrace::image {
 
 using FunctionId = std::uint32_t;
 inline constexpr FunctionId kInvalidFunction = 0xffffffffu;
+
+/// Transparent string hash: lets unordered_map<std::string, ...> be probed
+/// with a std::string_view without building a std::string.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+};
 
 struct FunctionInfo {
   FunctionId id = kInvalidFunction;
@@ -40,7 +48,7 @@ class SymbolTable {
 
  private:
   std::vector<FunctionInfo> functions_;
-  std::unordered_map<std::string, FunctionId> by_name_;
+  std::unordered_map<std::string, FunctionId, StringHash, std::equal_to<>> by_name_;
 };
 
 }  // namespace dyntrace::image

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -95,8 +96,8 @@ Rank::Rank(World& world, proc::SimProcess& process, int rank)
   // library registry.
   process_.registry().register_function(
       "MPI_Barrier",
-      [this](proc::SimThread& thread, const std::vector<std::int64_t>&) -> sim::Coro<void> {
-        co_await barrier_raw(thread, collective_seq_++);
+      [this](proc::SimThread& thread, std::span<const std::int64_t>) {
+        return barrier_raw(thread, collective_seq_++);
       });
 }
 

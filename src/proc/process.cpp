@@ -9,14 +9,12 @@ namespace dyntrace::proc {
 // LibraryRegistry
 // ---------------------------------------------------------------------------
 
-void LibraryRegistry::register_function(std::string name, LibFunction fn) {
+void LibraryRegistry::register_function(std::string_view name, LibFunction fn) {
   DT_ASSERT(fn != nullptr);
-  functions_[std::move(name)] = std::move(fn);
-}
-
-const LibraryRegistry::LibFunction* LibraryRegistry::find(const std::string& name) const {
-  const auto it = functions_.find(name);
-  return it == functions_.end() ? nullptr : &it->second;
+  const image::LibSlot slot = image::intern_library_name(name);
+  if (slot >= functions_.size()) functions_.resize(slot + 1);
+  if (!functions_[slot]) ++count_;
+  functions_[slot] = std::move(fn);
 }
 
 // ---------------------------------------------------------------------------
@@ -92,25 +90,25 @@ sim::Coro<void> SimThread::call_function(image::FunctionId fn, const BodyFn& bod
       img.trampoline_overhead(fn, image::ProbeWhere::kEntry, costs);
   if (entry_tramp > 0) {
     co_await compute(entry_tramp);
-    for (const auto& sn : img.active_snippets(fn, image::ProbeWhere::kEntry)) {
-      co_await exec_snippet(*sn);
+    if (const auto chain = img.active_chain(fn, image::ProbeWhere::kEntry)) {
+      for (const auto& sn : *chain) co_await exec_snippet(*sn);
     }
   }
 
   // Static instrumentation compiled in by the Guide compiler.
   const bool is_static = img.static_instrumented(fn);
-  std::vector<std::int64_t> fn_arg(1, static_cast<std::int64_t>(fn));
-  if (is_static) co_await lib_call("VT_begin", fn_arg);
+  const std::int64_t fn_arg = static_cast<std::int64_t>(fn);
+  if (is_static) co_await lib_call(image::kVtBeginSlot, {&fn_arg, 1});
 
   if (body) co_await body(*this);
 
-  if (is_static) co_await lib_call("VT_end", fn_arg);
+  if (is_static) co_await lib_call(image::kVtEndSlot, {&fn_arg, 1});
 
   const sim::TimeNs exit_tramp = img.trampoline_overhead(fn, image::ProbeWhere::kExit, costs);
   if (exit_tramp > 0) {
     co_await compute(exit_tramp);
-    for (const auto& sn : img.active_snippets(fn, image::ProbeWhere::kExit)) {
-      co_await exec_snippet(*sn);
+    if (const auto chain = img.active_chain(fn, image::ProbeWhere::kExit)) {
+      for (const auto& sn : *chain) co_await exec_snippet(*sn);
     }
   }
   --call_depth_;
@@ -123,7 +121,7 @@ sim::Coro<void> SimThread::exec_snippet(const image::Snippet& snippet) {
   if (const auto* seq = std::get_if<image::SequenceOp>(&node)) {
     for (const auto& item : seq->items) co_await exec_snippet(*item);
   } else if (const auto* c = std::get_if<image::CallLibOp>(&node)) {
-    co_await lib_call(c->function, c->args);
+    co_await lib_call(c->slot, c->args);
   } else if (const auto* f = std::get_if<image::SetFlagOp>(&node)) {
     process_.set_flag(f->flag, f->value);
   } else if (const auto* spin = std::get_if<image::SpinUntilOp>(&node)) {
@@ -135,11 +133,13 @@ sim::Coro<void> SimThread::exec_snippet(const image::Snippet& snippet) {
   // NoOp: nothing.
 }
 
-sim::Coro<void> SimThread::lib_call(const std::string& name, std::vector<std::int64_t> args) {
-  const auto* fn = process_.registry().find(name);
-  DT_EXPECT(fn != nullptr, "process ", process_.pid(), ": unresolved library function '", name,
-            "' (not linked)");
-  co_await (*fn)(*this, args);
+// Not a coroutine: hands back the library function's own frame, so a call
+// costs no extra frame (an unresolved name throws in the awaiting caller).
+sim::Coro<void> SimThread::lib_call(image::LibSlot slot, std::span<const std::int64_t> args) {
+  const auto* fn = process_.registry().find(slot);
+  DT_EXPECT(fn != nullptr, "process ", process_.pid(), ": unresolved library function '",
+            image::library_name(slot), "' (not linked)");
+  return (*fn)(*this, args);
 }
 
 // ---------------------------------------------------------------------------

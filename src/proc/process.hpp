@@ -19,7 +19,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "image/image.hpp"
@@ -36,18 +38,28 @@ class SimThread;
 /// Instrumentation-library entry points callable from snippets and from
 /// statically instrumented code.  Libraries (VT, the MPI wrappers, the
 /// OpenMP runtime) register their functions per process at "link time".
+/// Entries are indexed by the process-wide image::LibSlot of their name, so
+/// a call resolves with one vector index.
 class LibraryRegistry {
  public:
+  /// `args` views the caller's storage, which the caller keeps alive until
+  /// the returned coroutine completes (call sites await it in the same
+  /// full-expression).
   using LibFunction =
-      std::function<sim::Coro<void>(SimThread&, const std::vector<std::int64_t>&)>;
+      std::function<sim::Coro<void>(SimThread&, std::span<const std::int64_t>)>;
 
-  /// Register (or replace) an entry point.
-  void register_function(std::string name, LibFunction fn);
-  const LibFunction* find(const std::string& name) const;
-  std::size_t size() const { return functions_.size(); }
+  /// Register (or replace) an entry point.  A replaced name keeps its slot.
+  void register_function(std::string_view name, LibFunction fn);
+  /// nullptr when nothing is registered under `slot`.
+  const LibFunction* find(image::LibSlot slot) const {
+    return slot < functions_.size() && functions_[slot] ? &functions_[slot] : nullptr;
+  }
+  /// Number of registered entry points.
+  std::size_t size() const { return count_; }
 
  private:
-  std::map<std::string, LibFunction> functions_;
+  std::vector<LibFunction> functions_;
+  std::size_t count_ = 0;
 };
 
 class SimThread {
@@ -82,8 +94,13 @@ class SimThread {
   /// Execute an instrumentation snippet (may block: spin waits).
   sim::Coro<void> exec_snippet(const image::Snippet& snippet);
 
-  /// Call a registered library function by name.
-  sim::Coro<void> lib_call(const std::string& name, std::vector<std::int64_t> args = {});
+  /// Call a registered library function.  `args` must outlive the call
+  /// (await it in the same full-expression).
+  sim::Coro<void> lib_call(image::LibSlot slot, std::span<const std::int64_t> args = {});
+  /// By name: interns `name` first (for tests and tools, not per-call paths).
+  sim::Coro<void> lib_call(std::string_view name, std::span<const std::int64_t> args = {}) {
+    return lib_call(image::intern_library_name(name), args);
+  }
 
   /// Current workload-function nesting depth (0 outside any function).
   int call_depth() const { return call_depth_; }

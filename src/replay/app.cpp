@@ -19,14 +19,31 @@ std::shared_ptr<const image::SymbolTable> build_symbols(const ReplayTrace& trace
   return symbols;
 }
 
-sim::Coro<void> replay_rank(const ReplayTrace& trace, asci::AppContext& ctx,
-                            proc::SimThread& thread) {
+/// Per rank, per event: the FunctionId of a `call` event's function
+/// (kInvalidFunction for other verbs), resolved once per trace.
+using EventFids = std::vector<std::vector<image::FunctionId>>;
+
+EventFids resolve(const ReplayTrace& trace, const asci::AppSpec& spec) {
+  EventFids fids(trace.events.size());
+  for (std::size_t r = 0; r < trace.events.size(); ++r) {
+    fids[r].reserve(trace.events[r].size());
+    for (const ReplayEvent& ev : trace.events[r]) {
+      fids[r].push_back(ev.verb == Verb::kCall ? spec.fid(ev.fn) : image::kInvalidFunction);
+    }
+  }
+  return fids;
+}
+
+sim::Coro<void> replay_rank(const ReplayTrace& trace, const EventFids& fids,
+                            asci::AppContext& ctx, proc::SimThread& thread) {
   mpi::Rank* mpi = ctx.mpi();
   DT_ASSERT(mpi != nullptr, "replay bodies require the MPI runtime");
-  const auto& events = trace.events[static_cast<std::size_t>(ctx.rank())];
+  const auto rank = static_cast<std::size_t>(ctx.rank());
+  const auto& events = trace.events[rank];
   sim::TimeNs cursor = 0;
   std::map<std::string, mpi::Rank::Request> open;
-  for (const ReplayEvent& ev : events) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const ReplayEvent& ev = events[i];
     // Recorded idle/compute between the cursor and this event's timestamp.
     if (ev.at > cursor) {
       co_await thread.compute(ev.at - cursor);
@@ -35,9 +52,9 @@ sim::Coro<void> replay_rank(const ReplayTrace& trace, asci::AppContext& ctx,
     switch (ev.verb) {
       case Verb::kCall:
         if (ev.count > 1) {
-          co_await ctx.leaf_repeat(thread, ev.fn, ev.count, ev.work);
+          co_await ctx.leaf_repeat(thread, fids[rank][i], ev.count, ev.work);
         } else {
-          co_await ctx.leaf(thread, ev.fn, ev.work);
+          co_await ctx.leaf(thread, fids[rank][i], ev.work);
         }
         cursor += ev.count * ev.work;
         break;
@@ -126,9 +143,10 @@ ReplayApp::ReplayApp(ReplayTrace trace)
   spec_.symbols = build_symbols(*trace_);
   spec_.subset = trace_->subset;
   spec_.dynamic_list = trace_->subset;
-  spec_.body = [trace = trace_](asci::AppContext& ctx,
-                                proc::SimThread& thread) -> sim::Coro<void> {
-    return replay_rank(*trace, ctx, thread);
+  spec_.body = [trace = trace_,
+                fids = std::make_shared<const EventFids>(resolve(*trace_, spec_))](
+                   asci::AppContext& ctx, proc::SimThread& thread) -> sim::Coro<void> {
+    return replay_rank(*trace, *fids, ctx, thread);
   };
 }
 

@@ -25,12 +25,18 @@ constexpr std::int64_t kMaxIterations = 200'000;
 
 std::string fn_name(int index) { return str::format("svc_fn_%02d", index); }
 
-sim::Coro<void> svcapp_body(asci::AppContext& ctx, proc::SimThread& thread,
-                            const std::vector<std::string>& names) {
+/// The svcapp body's functions, resolved once per AppSpec.
+struct SvcFids {
+  std::vector<image::FunctionId> fns;  ///< svc_fn_00, svc_fn_01, ...
+  image::FunctionId sentinel = image::kInvalidFunction;
+};
+
+sim::Coro<void> svcapp_body(std::shared_ptr<const SvcFids> ids, asci::AppContext& ctx,
+                            proc::SimThread& thread) {
   vt::VtLib* vt = ctx.vt();
-  const image::FunctionId sentinel = ctx.fid(kSentinelName);
+  const image::FunctionId sentinel = ids->sentinel;
   Rng& rng = ctx.rng();
-  const int fns = static_cast<int>(names.size());
+  const int fns = static_cast<int>(ids->fns.size());
 
   for (std::int64_t iter = 0; iter < kMaxIterations; ++iter) {
     // The iteration's bulk numerics...
@@ -42,7 +48,7 @@ sim::Coro<void> svcapp_body(asci::AppContext& ctx, proc::SimThread& thread,
       const int idx = static_cast<int>((iter * 4 + k) % fns);
       const auto work =
           sim::nanoseconds(rng.normal_at_least(2'000, 300, 200));
-      co_await ctx.leaf_repeat(thread, names[static_cast<std::size_t>(idx)], 48, work);
+      co_await ctx.leaf_repeat(thread, ids->fns[static_cast<std::size_t>(idx)], 48, work);
     }
     if (ctx.mpi() != nullptr && ctx.nprocs() > 1) {
       co_await ctx.mpi()->allreduce(thread, 8);
@@ -281,13 +287,11 @@ asci::AppSpec make_svcapp(int functions) {
   symbols->add("main", "svcapp.c");
   symbols->add("MPI_Init", "libmpi");
   symbols->add("MPI_Finalize", "libmpi");
-  std::vector<std::string> names;
-  names.reserve(static_cast<std::size_t>(functions));
+  auto ids = std::make_shared<SvcFids>();
   for (int i = 0; i < functions; ++i) {
-    names.push_back(fn_name(i));
-    symbols->add(names.back(), str::format("svc_mod_%d.c", i / 8));
+    ids->fns.push_back(symbols->add(fn_name(i), str::format("svc_mod_%d.c", i / 8)));
   }
-  symbols->add(kSentinelName, "svcapp.c");
+  ids->sentinel = symbols->add(kSentinelName, "svcapp.c");
 
   asci::AppSpec spec;
   spec.name = "svcapp";
@@ -298,8 +302,9 @@ asci::AppSpec make_svcapp(int functions) {
   spec.min_procs = 1;
   spec.max_procs = 1024;
   spec.symbols = symbols;
-  spec.body = [names](asci::AppContext& ctx, proc::SimThread& thread) {
-    return svcapp_body(ctx, thread, names);
+  spec.body = [ids = std::shared_ptr<const SvcFids>(std::move(ids))](
+                  asci::AppContext& ctx, proc::SimThread& thread) {
+    return svcapp_body(ids, ctx, thread);
   };
   return spec;
 }

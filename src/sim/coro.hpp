@@ -8,14 +8,32 @@
 // Exceptions thrown inside a Coro propagate to the awaiter, exactly like a
 // normal function call; the Engine turns exceptions that escape a root
 // process into a simulation failure.
+//
+// Frames are recycled: every simulated call creates several coroutines, so
+// the promise allocates its frame from thread-local free lists of 64-byte
+// size classes instead of the heap (detail::frame_alloc).  A frame may be
+// freed on another thread than the one that allocated it; it then joins the
+// freeing thread's list.  Under AddressSanitizer a free frame is poisoned
+// until reused, so touching a destroyed coroutine still faults.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
 
 #include "support/common.hpp"
+
+// Set when building under AddressSanitizer (gcc defines the macro, clang
+// answers __has_feature): free pooled frames are then poisoned.
+#if defined(__SANITIZE_ADDRESS__)
+#define DT_POISON_FREE_FRAMES 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DT_POISON_FREE_FRAMES 1
+#endif
+#endif
 
 namespace dyntrace::sim {
 
@@ -24,7 +42,22 @@ class Coro;
 
 namespace detail {
 
+/// A coroutine frame of `size` bytes from the calling thread's free list
+/// (the heap when the list is empty or the frame is larger than 1 KiB).
+void* frame_alloc(std::size_t size);
+/// Return a frame from frame_alloc(size) to the calling thread's free list.
+void frame_free(void* frame, std::size_t size) noexcept;
+/// Return the calling thread's cached frames to the heap.  Engines call it
+/// when destroyed, so a finished simulation's frames do not outlive it (a
+/// later set-up would otherwise reuse them scattered across the heap).
+void frame_pool_release() noexcept;
+
 struct PromiseBase {
+  static void* operator new(std::size_t size) { return frame_alloc(size); }
+  static void operator delete(void* frame, std::size_t size) noexcept {
+    frame_free(frame, size);
+  }
+
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
 

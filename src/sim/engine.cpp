@@ -11,6 +11,9 @@ namespace dyntrace::sim {
 
 namespace {
 
+/// Sequential runs observe sim.queue_depth once per this many events.
+constexpr std::uint64_t kQueueDepthSampleEvents = 1024;
+
 /// Scoped thread-local "which engine is executing" marker.
 struct CurrentGuard {
   Engine* saved;
@@ -49,6 +52,7 @@ Engine::~Engine() {
   for (auto& [id, info] : roots_) {
     if (info.handle) info.handle.destroy();
   }
+  detail::frame_pool_release();
 }
 
 EventId Engine::schedule_at(TimeNs at, EventQueue::Callback cb) {
@@ -215,6 +219,11 @@ void Engine::run_window(TimeNs bound) {
 
 std::size_t Engine::run_until_blocked(TimeNs deadline) {
   const std::uint64_t before = events_executed_;
+  telemetry::Registry& reg = telemetry::current();
+  // A sequential run has no windows to observe sim.queue_depth at, so it
+  // samples the queue every kQueueDepthSampleEvents events instead.
+  const bool sample_depth = reg.counting();
+  std::uint64_t next_sample = events_executed_;
   while (!queue_.empty() && !failure_) {
     if (deadline >= 0) {
       auto next = queue_.next_time();
@@ -223,10 +232,13 @@ std::size_t Engine::run_until_blocked(TimeNs deadline) {
         break;
       }
     }
+    if (sample_depth && events_executed_ >= next_sample) {
+      reg.observe(reg.metrics().sim_queue_depth, queue_.size());
+      next_sample = events_executed_ + kQueueDepthSampleEvents;
+    }
     step();
   }
   if (events_executed_ != before) {
-    telemetry::Registry& reg = telemetry::current();
     reg.add(reg.metrics().sim_events, events_executed_ - before);
   }
   if (failure_) {

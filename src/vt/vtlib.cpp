@@ -1,6 +1,7 @@
 #include "vt/vtlib.hpp"
 
 #include <algorithm>
+#include <span>
 #include <variant>
 
 #include "support/common.hpp"
@@ -82,42 +83,32 @@ VtLib::VtLib(proc::SimProcess& process, std::shared_ptr<TraceStore> store, Optio
 }
 
 void VtLib::link() {
+  // The forwarding entries are plain lambdas returning the VT coroutine, so
+  // a probe costs no wrapper frame.
+  using Args = std::span<const std::int64_t>;
   auto& reg = process_.registry();
-  reg.register_function("VT_init",
-                        [this](proc::SimThread& t, const std::vector<std::int64_t>&)
-                            -> sim::Coro<void> { co_await vt_init(t); });
-  reg.register_function(
-      "VT_begin",
-      [this](proc::SimThread& t, const std::vector<std::int64_t>& args) -> sim::Coro<void> {
-        DT_EXPECT(args.size() == 1, "VT_begin expects one argument");
-        co_await vt_begin(t, static_cast<image::FunctionId>(args[0]));
-      });
-  reg.register_function(
-      "VT_end",
-      [this](proc::SimThread& t, const std::vector<std::int64_t>& args) -> sim::Coro<void> {
-        DT_EXPECT(args.size() == 1, "VT_end expects one argument");
-        co_await vt_end(t, static_cast<image::FunctionId>(args[0]));
-      });
-  reg.register_function("VT_traceoff",
-                        [this](proc::SimThread& t, const std::vector<std::int64_t>&)
-                            -> sim::Coro<void> {
-                          trace_off();
-                          co_await t.compute(costs().vt_call_overhead);
-                        });
-  reg.register_function("VT_traceon",
-                        [this](proc::SimThread& t, const std::vector<std::int64_t>&)
-                            -> sim::Coro<void> {
-                          trace_on();
-                          co_await t.compute(costs().vt_call_overhead);
-                        });
+  reg.register_function("VT_init", [this](proc::SimThread& t, Args) { return vt_init(t); });
+  reg.register_function("VT_begin", [this](proc::SimThread& t, Args args) {
+    DT_EXPECT(args.size() == 1, "VT_begin expects one argument");
+    return vt_begin(t, static_cast<image::FunctionId>(args[0]));
+  });
+  reg.register_function("VT_end", [this](proc::SimThread& t, Args args) {
+    DT_EXPECT(args.size() == 1, "VT_end expects one argument");
+    return vt_end(t, static_cast<image::FunctionId>(args[0]));
+  });
+  reg.register_function("VT_traceoff", [this](proc::SimThread& t, Args) -> sim::Coro<void> {
+    trace_off();
+    co_await t.compute(costs().vt_call_overhead);
+  });
+  reg.register_function("VT_traceon", [this](proc::SimThread& t, Args) -> sim::Coro<void> {
+    trace_on();
+    co_await t.compute(costs().vt_call_overhead);
+  });
   reg.register_function("VT_finalize",
-                        [this](proc::SimThread& t, const std::vector<std::int64_t>&)
-                            -> sim::Coro<void> { co_await vt_finalize(t); });
-  reg.register_function(
-      "VT_confsync",
-      [this](proc::SimThread& t, const std::vector<std::int64_t>& args) -> sim::Coro<void> {
-        co_await confsync(t, !args.empty() && args[0] != 0);
-      });
+                        [this](proc::SimThread& t, Args) { return vt_finalize(t); });
+  reg.register_function("VT_confsync", [this](proc::SimThread& t, Args args) {
+    return confsync(t, !args.empty() && args[0] != 0);
+  });
 }
 
 sim::Coro<void> VtLib::vt_init(proc::SimThread& thread) {
@@ -307,7 +298,7 @@ sim::TimeNs snippet_steady_cost(const VtLib& vt, const image::Snippet& snippet) 
     const VtLib& vt;
     sim::TimeNs operator()(const image::NoOp&) const { return 0; }
     sim::TimeNs operator()(const image::CallLibOp& op) const {
-      if ((op.function == "VT_begin" || op.function == "VT_end") && !op.args.empty()) {
+      if ((op.slot == image::kVtBeginSlot || op.slot == image::kVtEndSlot) && !op.args.empty()) {
         return vt.steady_call_cost(static_cast<image::FunctionId>(op.args[0]));
       }
       return 0;

@@ -107,6 +107,26 @@ TEST_F(ImageTest, CopySemanticsGiveIndependentImages) {
   EXPECT_FALSE(img_.probe_point(2, ProbeWhere::kEntry).has_base_trampoline());
 }
 
+TEST_F(ImageTest, PatchingLeavesAWalkedChainIntact) {
+  // A call walking a probe point's chain may suspend (snippet bodies burn
+  // CPU), and DPCL may patch the point meanwhile: the walker keeps the
+  // chain it entered with, and the next call sees the new one.
+  const auto a = img_.install_probe(1, ProbeWhere::kEntry, snippet::call("a"));
+  img_.install_probe(1, ProbeWhere::kEntry, snippet::call("b"));
+  const auto walking = img_.active_chain(1, ProbeWhere::kEntry);
+  ASSERT_NE(walking, nullptr);
+  img_.remove_probe(a);
+  img_.install_probe(1, ProbeWhere::kEntry, snippet::call("c"));
+  ASSERT_EQ(walking->size(), 2u);
+  EXPECT_EQ((*walking)[0]->to_string(), "call a()");
+  EXPECT_EQ((*walking)[1]->to_string(), "call b()");
+  const auto& now = img_.active_snippets(1, ProbeWhere::kEntry);
+  ASSERT_EQ(now.size(), 2u);
+  EXPECT_EQ(now[0]->to_string(), "call b()");
+  EXPECT_EQ(now[1]->to_string(), "call c()");
+  EXPECT_EQ(img_.active_chain(2, ProbeWhere::kEntry), nullptr);  // unpatched
+}
+
 TEST_F(ImageTest, SetActiveUnknownHandleReturnsFalse) {
   EXPECT_FALSE(img_.set_probe_active(ProbeHandle{9999}, true));
 }

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "image/snippet.hpp"
 #include "proc/job.hpp"
+#include "support/common.hpp"
 
 namespace dyntrace::proc {
 namespace {
@@ -116,13 +121,13 @@ TEST(Process, CallFunctionFiresStaticInstrumentation) {
   Fixture f;
   std::vector<std::string> calls;
   f.process.registry().register_function(
-      "VT_begin", [&calls](SimThread&, const std::vector<std::int64_t>& args) -> sim::Coro<void> {
-        calls.push_back("begin:" + std::to_string(args.at(0)));
+      "VT_begin", [&calls](SimThread&, std::span<const std::int64_t> args) -> sim::Coro<void> {
+        calls.push_back("begin:" + std::to_string(args[0]));
         co_return;
       });
   f.process.registry().register_function(
-      "VT_end", [&calls](SimThread&, const std::vector<std::int64_t>& args) -> sim::Coro<void> {
-        calls.push_back("end:" + std::to_string(args.at(0)));
+      "VT_end", [&calls](SimThread&, std::span<const std::int64_t> args) -> sim::Coro<void> {
+        calls.push_back("end:" + std::to_string(args[0]));
         co_return;
       });
   f.process.image().set_static_instrumented(1, true);
@@ -143,7 +148,7 @@ TEST(Process, CallFunctionExecutesDynamicProbesAndChargesTrampolines) {
   Fixture f;
   int probes = 0;
   f.process.registry().register_function(
-      "probe_fn", [&probes](SimThread&, const std::vector<std::int64_t>&) -> sim::Coro<void> {
+      "probe_fn", [&probes](SimThread&, std::span<const std::int64_t>) -> sim::Coro<void> {
         ++probes;
         co_return;
       });
@@ -160,6 +165,68 @@ TEST(Process, CallFunctionExecutesDynamicProbesAndChargesTrampolines) {
   const sim::TimeNs per = costs.tramp_jump + costs.tramp_save_regs + costs.tramp_restore_regs +
                           costs.tramp_relocated_insn + costs.tramp_mini_dispatch;
   EXPECT_EQ(f.engine.now(), 2 * per);
+}
+
+TEST(LibrarySlots, ReRegisteringVtBeginKeepsItsSlotAndDispatchesToTheNewFunction) {
+  // call_function dispatches static instrumentation through the fixed
+  // VT_begin/VT_end slots, resolved before any library linked; a library
+  // re-linking VT_begin mid-run must still be the one that runs.
+  Fixture f;
+  std::vector<std::string> calls;
+  const auto reg = [&f, &calls](const char* tag) {
+    f.process.registry().register_function(
+        "VT_begin", [&calls, tag](SimThread&, std::span<const std::int64_t>) -> sim::Coro<void> {
+          calls.push_back(tag);
+          co_return;
+        });
+  };
+  f.process.registry().register_function(
+      "VT_end", [](SimThread&, std::span<const std::int64_t>) -> sim::Coro<void> { co_return; });
+  reg("old");
+  f.process.image().set_static_instrumented(1, true);
+  EXPECT_EQ(image::intern_library_name("VT_begin"), image::kVtBeginSlot);
+  const std::function<void()> relink = [&reg] { reg("new"); };
+  f.engine.spawn(
+      [](SimThread& t, const std::function<void()>& relink_now) -> sim::Coro<void> {
+        co_await t.call_function(1, nullptr);
+        relink_now();
+        co_await t.call_function(1, nullptr);
+      }(f.process.main_thread(), relink),
+      "caller");
+  f.engine.run();
+  EXPECT_EQ(calls, (std::vector<std::string>{"old", "new"}));
+  EXPECT_EQ(image::intern_library_name("VT_begin"), image::kVtBeginSlot);
+  EXPECT_EQ(f.process.registry().size(), 2u);  // replaced, not added
+}
+
+TEST(LibrarySlots, UnresolvedSnippetCallNamesTheMissingFunction) {
+  Fixture f;
+  f.process.image().install_probe(1, image::ProbeWhere::kEntry,
+                                  image::snippet::call("never_linked_fn"));
+  f.engine.spawn(
+      [](SimThread& t) -> sim::Coro<void> { co_await t.call_function(1, nullptr); }(
+          f.process.main_thread()),
+      "caller");
+  try {
+    f.engine.run();
+    FAIL() << "an unresolved snippet call must fail the run";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "process 0: unresolved library function 'never_linked_fn' (not linked)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(LibrarySlots, InterningIsStableAndNamesRoundTrip) {
+  const image::LibSlot a = image::intern_library_name("slot_test_a");
+  const image::LibSlot b = image::intern_library_name("slot_test_b");
+  EXPECT_NE(a, b);
+  EXPECT_EQ(image::intern_library_name("slot_test_a"), a);
+  EXPECT_EQ(image::library_name(a), "slot_test_a");
+  EXPECT_EQ(image::library_name(image::kVtEndSlot), "VT_end");
+  const auto snippet = image::snippet::call("slot_test_b");
+  EXPECT_EQ(std::get<image::CallLibOp>(snippet->node()).slot, b);
 }
 
 TEST(Process, UninstrumentedCallCostsNothing) {

@@ -406,6 +406,26 @@ TEST(TelemetryIntegration, CountersMatchAcrossSimThreadSweep) {
   }
 }
 
+TEST(TelemetryIntegration, SequentialRunObservesQueueDepth) {
+  // A sequential run has no windows to observe sim.queue_depth at; its run
+  // loop samples the queue so the metric is live on the default path.
+  telemetry::Registry::Snapshot snap;
+  RunConfig config;
+  config.app = &asci::smg98();
+  config.policy = Policy::kFull;
+  config.nprocs = 64;
+  config.problem_scale = 0.05;
+  config.sim_threads = 1;
+  config.telemetry_level = telemetry::Level::kCounters;
+  config.telemetry_sink = [&snap](const telemetry::Registry& reg) { snap = reg.snapshot(); };
+  run_policy(config);
+  const auto it = std::find_if(snap.histograms.begin(), snap.histograms.end(),
+                               [](const auto& h) { return h.name == "sim.queue_depth"; });
+  ASSERT_NE(it, snap.histograms.end());
+  EXPECT_GT(it->count, 0u);
+  EXPECT_GT(it->sum, 0u);  // 64 ranks keep the queue non-empty
+}
+
 TEST(TelemetryIntegration, LevelsDoNotPerturbTheSimulation) {
   // DESIGN.md §12's invariant: telemetry observes the run, never times it.
   std::vector<std::uint64_t> digests;
