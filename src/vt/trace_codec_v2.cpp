@@ -1,8 +1,10 @@
 #include "vt/trace_codec_v2.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "support/common.hpp"
 
@@ -34,52 +36,126 @@ bool same_fields(const Event& a, const Event& b) {
          a.aux == b.aux;
 }
 
-void append_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  std::uint8_t tmp[kMaxVarintBytes];
-  const std::size_t n = put_varint(tmp, v);
-  out.insert(out.end(), tmp, tmp + n);
+/// Worst-case encoded size of an n-record block: the header, three
+/// dictionaries of at most n entries, and n plain items of a tag plus five
+/// varints.  A super item writes a tag and three varints beyond its
+/// pattern's plain items but replaces at least two more records, so it
+/// never exceeds the plain bound.
+constexpr std::size_t block_bound(std::size_t n) {
+  return kBlockHeaderBytes + 3 * (n + 1) * kMaxVarintBytes + n * (1 + 5 * kMaxVarintBytes);
 }
+static_assert(block_bound(kBlockRecords) - kBlockHeaderBytes <= kMaxBlockPayloadBytes);
 
-/// Sorted unique values of one id column over a block.
-void build_dict(const Event* events, std::size_t count, std::int64_t (*field)(const Event&),
-                std::vector<std::int64_t>& dict) {
-  dict.clear();
-  dict.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) dict.push_back(field(events[i]));
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-}
+/// Open-addressed value -> first-seen id map over one block column, shared
+/// by the three columns of a block.  Bumping the epoch empties it without
+/// touching the slots.
+class ColumnHash {
+ public:
+  ColumnHash() : slots_(kSlots) {}
 
-void append_dict(std::vector<std::uint8_t>& out, const std::vector<std::int64_t>& dict) {
-  append_varint(out, dict.size());
-  if (dict.empty()) return;
-  append_varint(out, zigzag_encode(dict[0]));
-  for (std::size_t i = 1; i + 0 < dict.size(); ++i) {
-    append_varint(out, static_cast<std::uint64_t>(dict[i]) -
-                           static_cast<std::uint64_t>(dict[i - 1]));
+  void clear() {
+    if (++epoch_ == 0) {  // wrapped: stale slots could alias the new epoch
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      epoch_ = 1;
+    }
   }
-}
 
-std::uint64_t dict_index(const std::vector<std::int64_t>& dict, std::int64_t value) {
-  const auto it = std::lower_bound(dict.begin(), dict.end(), value);
-  return static_cast<std::uint64_t>(it - dict.begin());
-}
+  /// Id of `value`, inserted as `next_id` if it is not present yet.
+  std::uint32_t find_or_insert(std::int32_t value, std::uint32_t next_id) {
+    for (std::size_t s = home(value);; s = (s + 1) & (kSlots - 1)) {
+      Slot& slot = slots_[s];
+      if (slot.epoch != epoch_) {
+        slot = Slot{epoch_, value, next_id};
+        return next_id;
+      }
+      if (slot.value == value) return slot.id;
+    }
+  }
 
-struct BlockDicts {
-  std::vector<std::int64_t> pids, tids, codes;
+ private:
+  static constexpr std::size_t kSlots = 2 * kBlockRecords;  // load factor <= 1/2
+  static constexpr int kSlotBits = std::bit_width(kSlots) - 1;
+  static_assert(kSlots == std::size_t{1} << kSlotBits);
+
+  struct Slot {
+    std::uint32_t epoch = 0;
+    std::int32_t value = 0;
+    std::uint32_t id = 0;
+  };
+
+  static std::size_t home(std::int32_t value) {
+    return (static_cast<std::uint32_t>(value) * 0x9e3779b1u) >> (32 - kSlotBits);
+  }
+
+  std::vector<Slot> slots_;
+  std::uint32_t epoch_ = 0;
 };
 
-/// One plain item: kind tag, chained time delta, dict indices, aux.
-void append_plain(std::vector<std::uint8_t>& out, const Event& e, std::uint64_t& prev_time,
-                  const BlockDicts& dicts) {
-  out.push_back(static_cast<std::uint8_t>(e.kind));
-  const std::uint64_t t = static_cast<std::uint64_t>(e.time);
-  append_varint(out, zigzag_encode(static_cast<std::int64_t>(t - prev_time)));
-  prev_time = t;
-  append_varint(out, dict_index(dicts.pids, e.pid));
-  append_varint(out, dict_index(dicts.tids, e.tid));
-  append_varint(out, dict_index(dicts.codes, e.code));
-  append_varint(out, zigzag_encode(e.aux));
+/// One id column of a block: its sorted unique values (the dictionary) and
+/// each record's index into them, built in one pass over the column.
+class ColumnDict {
+ public:
+  void build(const Event* events, std::size_t n, std::int32_t Event::*field,
+             ColumnHash& hash) {
+    values_.clear();
+    const std::int32_t first = events[0].*field;
+    std::size_t run = 1;
+    while (run < n && events[run].*field == first) ++run;
+    std::fill_n(index_, run, std::uint16_t{0});
+    if (run == n) {  // all-equal: a spill run has one pid and usually one tid
+      values_.push_back(first);
+      return;
+    }
+    // First-seen ids while scanning, packed as value * 2^16 + id so that
+    // sorting the distinct values also yields each id's rank.
+    hash.clear();
+    hash.find_or_insert(first, 0);
+    keys_.assign(1, pack(first, 0));
+    std::int32_t prev = first;
+    std::uint16_t prev_id = 0;
+    for (std::size_t i = run; i < n; ++i) {
+      const std::int32_t value = events[i].*field;
+      if (value != prev) {
+        prev = value;
+        const auto next_id = static_cast<std::uint32_t>(keys_.size());
+        prev_id = static_cast<std::uint16_t>(hash.find_or_insert(value, next_id));
+        if (prev_id == next_id) keys_.push_back(pack(value, prev_id));
+      }
+      index_[i] = prev_id;
+    }
+    std::sort(keys_.begin(), keys_.end());
+    std::uint16_t rank[kBlockRecords];
+    for (std::size_t r = 0; r < keys_.size(); ++r) {
+      rank[keys_[r] & 0xffff] = static_cast<std::uint16_t>(r);
+      values_.push_back(keys_[r] >> 16);
+    }
+    for (std::size_t i = 0; i < n; ++i) index_[i] = rank[index_[i]];
+  }
+
+  /// Sorted unique values.
+  const std::vector<std::int64_t>& values() const { return values_; }
+  /// Dictionary index of record `i`'s value.
+  std::uint64_t index(std::size_t i) const { return index_[i]; }
+
+ private:
+  static std::int64_t pack(std::int32_t value, std::uint32_t id) {
+    return static_cast<std::int64_t>(value) * 65536 + static_cast<std::int64_t>(id);
+  }
+
+  std::vector<std::int64_t> values_;
+  std::vector<std::int64_t> keys_;
+  std::uint16_t index_[kBlockRecords];
+};
+static_assert(kBlockRecords <= 65536, "dictionary ids are 16-bit");
+
+std::uint8_t* put_dict(std::uint8_t* p, const std::vector<std::int64_t>& dict) {
+  p += put_varint(p, dict.size());
+  p += put_varint(p, zigzag_encode(dict[0]));
+  for (std::size_t i = 1; i < dict.size(); ++i) {
+    p += put_varint(p, static_cast<std::uint64_t>(dict[i]) -
+                           static_cast<std::uint64_t>(dict[i - 1]));
+  }
+  return p;
 }
 
 /// How many consecutive repetitions of the period-P pattern starting at `i`
@@ -117,10 +193,47 @@ bool worth_suppressing(std::size_t period, std::uint64_t reps) {
   return reps >= 2 && (reps - 1) * period >= 2;
 }
 
+/// Frees raw storage from ::operator new, which (unlike a vector) leaves the
+/// worst-case block buffer untouched until the encoder writes it.
+struct OperatorDelete {
+  void operator()(std::uint8_t* p) const { ::operator delete(p); }
+};
+
+/// The encoder's per-call state, reused across the call's blocks.
+struct BlockEncoder {
+  ColumnHash hash;
+  ColumnDict pids, tids, codes;
+  std::vector<std::uint64_t> sigs;
+  std::unique_ptr<std::uint8_t, OperatorDelete> buf;  ///< one block, worst-case size
+
+  explicit BlockEncoder(std::size_t max_records)
+      : sigs(max_records),
+        buf(static_cast<std::uint8_t*>(::operator new(block_bound(max_records)))) {}
+
+  /// One plain item: kind tag, chained time delta, dict indices, aux.
+  std::uint8_t* put_plain(std::uint8_t* p, const Event* block, std::size_t k,
+                          std::uint64_t& prev_time) const {
+    const Event& e = block[k];
+    *p++ = static_cast<std::uint8_t>(e.kind);
+    const std::uint64_t t = static_cast<std::uint64_t>(e.time);
+    p += put_varint(p, zigzag_encode(static_cast<std::int64_t>(t - prev_time)));
+    prev_time = t;
+    p += put_varint(p, pids.index(k));
+    p += put_varint(p, tids.index(k));
+    p += put_varint(p, codes.index(k));
+    p += put_varint(p, zigzag_encode(e.aux));
+    return p;
+  }
+};
+
 }  // namespace
 
 void SuppressionTable::note(std::uint64_t signature, std::uint32_t period) {
   if (capacity_ == 0) return;
+  if (fifo_.empty()) {
+    map_.reserve(capacity_);
+    fifo_.reserve(capacity_);
+  }
   const auto it = map_.find(signature);
   if (it != map_.end()) {
     it->second = period;  // refresh in place; insertion order is unchanged
@@ -140,27 +253,22 @@ void SuppressionTable::note(std::uint64_t signature, std::uint32_t period) {
 V2EncodeStats encode_v2_blocks(const Event* events, std::size_t count,
                                SuppressionTable* table, std::vector<std::uint8_t>& out) {
   V2EncodeStats stats;
-  std::vector<std::uint64_t> sigs;
-  std::vector<std::uint8_t> payload;
-  BlockDicts dicts;
-  std::size_t base = 0;
-  while (base < count) {
+  if (count == 0) return stats;
+  BlockEncoder enc(std::min(kBlockRecords, count));
+  std::uint64_t* sigs = enc.sigs.data();
+  for (std::size_t base = 0; base < count;) {
     const std::size_t n = std::min(kBlockRecords, count - base);
     const Event* block = events + base;
 
-    build_dict(block, n, [](const Event& e) { return static_cast<std::int64_t>(e.pid); },
-               dicts.pids);
-    build_dict(block, n, [](const Event& e) { return static_cast<std::int64_t>(e.tid); },
-               dicts.tids);
-    build_dict(block, n, [](const Event& e) { return static_cast<std::int64_t>(e.code); },
-               dicts.codes);
+    enc.pids.build(block, n, &Event::pid, enc.hash);
+    enc.tids.build(block, n, &Event::tid, enc.hash);
+    enc.codes.build(block, n, &Event::code, enc.hash);
+    std::uint8_t* const header = enc.buf.get();
+    std::uint8_t* p = header + kBlockHeaderBytes;
+    p = put_dict(p, enc.pids.values());
+    p = put_dict(p, enc.tids.values());
+    p = put_dict(p, enc.codes.values());
 
-    payload.clear();
-    append_dict(payload, dicts.pids);
-    append_dict(payload, dicts.tids);
-    append_dict(payload, dicts.codes);
-
-    sigs.resize(n);
     for (std::size_t i = 0; i < n; ++i) sigs[i] = field_signature(block[i]);
 
     std::uint64_t prev_time = 0;
@@ -172,36 +280,34 @@ V2EncodeStats encode_v2_blocks(const Event* events, std::size_t count,
       if (table != nullptr) {
         const std::uint32_t hint = table->lookup(sigs[i]);
         if (hint != 0) {
-          reps = count_reps(block, sigs.data(), n, i, hint, &stride);
+          reps = count_reps(block, sigs, n, i, hint, &stride);
           if (worth_suppressing(hint, reps)) {
             period = hint;
             table->count_hit();
             ++stats.table_hits;
-          } else {
-            reps = 0;
           }
         }
         if (period == 0) {
-          for (std::size_t cand = 1; cand <= kMaxSuppressionPeriod; ++cand) {
-            if (cand == hint) continue;
-            reps = count_reps(block, sigs.data(), n, i, cand, &stride);
+          // Candidates in ascending order, as count_reps would try them; the
+          // inline head compare is count_reps's own first test.
+          for (std::size_t cand = 1;
+               cand <= kMaxSuppressionPeriod && i + 2 * cand <= n; ++cand) {
+            if (cand == hint || sigs[i + cand] != sigs[i]) continue;
+            reps = count_reps(block, sigs, n, i, cand, &stride);
             if (worth_suppressing(cand, reps)) {
               period = cand;
               break;
             }
-            reps = 0;
           }
         }
       }
       if (period != 0) {
         table->note(sigs[i], static_cast<std::uint32_t>(period));
-        payload.push_back(kSuperTag);
-        append_varint(payload, period);
-        append_varint(payload, reps);
-        append_varint(payload, zigzag_encode(static_cast<std::int64_t>(stride)));
-        for (std::size_t j = 0; j < period; ++j) {
-          append_plain(payload, block[i + j], prev_time, dicts);
-        }
+        *p++ = kSuperTag;
+        p += put_varint(p, period);
+        p += put_varint(p, reps);
+        p += put_varint(p, zigzag_encode(static_cast<std::int64_t>(stride)));
+        for (std::size_t j = 0; j < period; ++j) p = enc.put_plain(p, block, i + j, prev_time);
         // The decoder's delta chain resumes after the *last expanded*
         // record, whose time the stride carries implicitly.
         prev_time = static_cast<std::uint64_t>(block[i + period - 1].time) +
@@ -210,23 +316,20 @@ V2EncodeStats encode_v2_blocks(const Event* events, std::size_t count,
         stats.suppressed += (reps - 1) * period;
         i += static_cast<std::size_t>(reps) * period;
       } else {
-        append_plain(payload, block[i], prev_time, dicts);
+        p = enc.put_plain(p, block, i, prev_time);
         ++i;
       }
     }
 
-    DT_EXPECT(payload.size() <= kMaxBlockPayloadBytes,
-              "v2 block payload overflow: ", payload.size(), " bytes from ", n, " records");
-    const std::size_t header_at = out.size();
-    out.resize(out.size() + kBlockHeaderBytes);
-    out.insert(out.end(), payload.begin(), payload.end());
-    std::uint8_t* header = out.data() + header_at;
+    const std::size_t block_bytes = static_cast<std::size_t>(p - header);
+    const std::size_t payload = block_bytes - kBlockHeaderBytes;
     std::memcpy(header, kBlockMagic, 4);
-    put_u32_le(header + 8, static_cast<std::uint32_t>(payload.size()));
+    put_u32_le(header + 8, static_cast<std::uint32_t>(payload));
     put_u32_le(header + 12, static_cast<std::uint32_t>(n));
-    put_u32_le(header + 4, crc32(header + 8, 8 + payload.size()));
+    put_u32_le(header + 4, crc32(header + 8, 8 + payload));
+    out.insert(out.end(), header, p);
 
-    stats.bytes += kBlockHeaderBytes + payload.size();
+    stats.bytes += block_bytes;
     stats.records += n;
     base += n;
   }

@@ -60,7 +60,8 @@ inline constexpr std::uint8_t kSuperTag = 0x80;
 /// contract: an adversarial trace that streams never-repeating patterns
 /// evicts in deterministic insertion (FIFO) order -- mirroring the dpcl
 /// dedup table -- instead of growing without limit.  One table per shard,
-/// persisting across that shard's spills.
+/// persisting across that shard's spills.  The first insertion reserves the
+/// whole capacity, so a filling table never rehashes.
 class SuppressionTable {
  public:
   explicit SuppressionTable(std::size_t capacity) : capacity_(capacity) {}

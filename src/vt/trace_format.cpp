@@ -1,5 +1,8 @@
 #include "vt/trace_format.hpp"
 
+#include <bit>
+#include <cstring>
+
 #include "support/common.hpp"
 
 namespace dyntrace::vt {
@@ -111,28 +114,56 @@ Event decode_event(const std::uint8_t* in, const std::string& context) {
 
 namespace {
 
-struct Crc32Table {
-  std::uint32_t entries[256];
-  constexpr Crc32Table() : entries{} {
+/// Slicing-by-8 tables: entries[0] is the bytewise table of the reflected
+/// IEEE polynomial; entries[k][b] advances entries[k-1][b] by one zero byte,
+/// so eight table lookups fold eight input bytes at once.
+struct Crc32Tables {
+  std::uint32_t entries[8][256];
+  constexpr Crc32Tables() : entries{} {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = entries[k - 1][i];
+        entries[k][i] = entries[0][prev & 0xffu] ^ (prev >> 8);
+      }
     }
   }
 };
 
-constexpr Crc32Table kCrc32Table{};
+constexpr Crc32Tables kCrc32{};
+
+/// Eight bytes as a little-endian u64, in one (possibly unaligned) load on
+/// little-endian hosts.
+std::uint64_t load_u64_le(const std::uint8_t* p) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  } else {
+    return get_u64(p);
+  }
+}
 
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
+  const auto& t = kCrc32.entries;
   std::uint32_t c = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = kCrc32Table.entries[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint64_t word = load_u64_le(data);
+    const std::uint32_t lo = static_cast<std::uint32_t>(word) ^ c;
+    const std::uint32_t hi = static_cast<std::uint32_t>(word >> 32);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+        t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
   }
+  for (; size > 0; ++data, --size) c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 

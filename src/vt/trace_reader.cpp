@@ -14,9 +14,11 @@ constexpr std::size_t kChunkRecords = 4096;
 
 }  // namespace
 
-bool VectorCursor::next(Event& out) {
-  if (pos_ >= events_.size()) return false;
-  out = events_[pos_++];
+bool VectorCursor::refill() {
+  if (served_ || events_.empty()) return false;
+  served_ = true;
+  cur_ = events_.data();
+  end_ = cur_ + events_.size();
   return true;
 }
 
@@ -28,7 +30,7 @@ FileRunCursor::FileRunCursor(const std::string& path, std::uint64_t offset,
   DT_EXPECT(in_.good(), path_, ": cannot seek to run offset ", offset);
 }
 
-void FileRunCursor::refill() {
+void FileRunCursor::read_chunk() {
   const std::size_t want =
       static_cast<std::size_t>(std::min<std::uint64_t>(remaining_, kChunkRecords));
   chunk_.resize(want * kTraceRecordBytes);
@@ -41,12 +43,14 @@ void FileRunCursor::refill() {
   chunk_records_ = want;
 }
 
-bool FileRunCursor::next(Event& out) {
+bool FileRunCursor::refill() {
   if (remaining_ == 0) return false;
-  if (chunk_pos_ >= chunk_records_) refill();
-  out = decode_event(chunk_.data() + chunk_pos_ * kTraceRecordBytes, path_);
+  if (chunk_pos_ >= chunk_records_) read_chunk();
+  record_ = decode_event(chunk_.data() + chunk_pos_ * kTraceRecordBytes, path_);
   ++chunk_pos_;
   --remaining_;
+  cur_ = &record_;
+  end_ = cur_ + 1;
   return true;
 }
 
@@ -58,7 +62,7 @@ FramedRunCursor::FramedRunCursor(const std::string& path, std::uint64_t offset,
   DT_EXPECT(in_.good(), path_, ": cannot seek to run offset ", offset);
 }
 
-void FramedRunCursor::refill() {
+void FramedRunCursor::read_chunk() {
   const std::size_t want =
       static_cast<std::size_t>(std::min<std::uint64_t>(remaining_, kChunkRecords));
   chunk_.resize(want * kSpillFrameBytes);
@@ -71,14 +75,16 @@ void FramedRunCursor::refill() {
   chunk_records_ = want;
 }
 
-bool FramedRunCursor::next(Event& out) {
+bool FramedRunCursor::refill() {
   if (remaining_ == 0) return false;
-  if (chunk_pos_ >= chunk_records_) refill();
-  const bool ok = decode_spill_frame(chunk_.data() + chunk_pos_ * kSpillFrameBytes, out);
+  if (chunk_pos_ >= chunk_records_) read_chunk();
+  const bool ok = decode_spill_frame(chunk_.data() + chunk_pos_ * kSpillFrameBytes, record_);
   DT_EXPECT(ok, path_, ": corrupt spill frame (CRC mismatch) with ", remaining_,
             " frame(s) expected");
   ++chunk_pos_;
   --remaining_;
+  cur_ = &record_;
+  end_ = cur_ + 1;
   return true;
 }
 
@@ -128,69 +134,87 @@ void BlockRunCursor::open_next_block() {
   const std::uint32_t drained = decoder_.drain(chunk_.data(), record_count);
   DT_EXPECT(drained == record_count && !decoder_.failed(), path_,
             ": malformed v2 block payload with ", remaining_, " record(s) expected");
-  chunk_pos_ = 0;
 }
 
-bool BlockRunCursor::next(Event& out) {
-  if (remaining_ == 0) return false;
-  while (chunk_pos_ >= chunk_.size()) open_next_block();  // tolerates empty blocks
-  out = chunk_[chunk_pos_++];
-  --remaining_;
-  return true;
+bool BlockRunCursor::refill() {
+  while (remaining_ > 0) {
+    open_next_block();
+    if (chunk_.empty()) continue;  // tolerates empty blocks
+    const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(remaining_, chunk_.size()));
+    remaining_ -= n;
+    cur_ = chunk_.data();
+    end_ = cur_ + n;
+    return true;
+  }
+  return false;
 }
 
-bool MergeCursor::after(std::uint32_t a, std::uint32_t b) const {
-  const EventOrder order;
-  if (order(slots_[a], slots_[b])) return false;
-  if (order(slots_[b], slots_[a])) return true;
-  return a > b;
+bool MergeCursor::after(const Head& a, const Head& b) const {
+  // EventOrder (time, pid, tid), then the input index.
+  if (a.time != b.time) return a.time > b.time;
+  const Event& x = *inputs_[a.input]->cur_;
+  const Event& y = *inputs_[b.input]->cur_;
+  if (x.pid != y.pid) return x.pid > y.pid;
+  if (x.tid != y.tid) return x.tid > y.tid;
+  return a.input > b.input;
 }
 
 MergeCursor::MergeCursor(std::vector<std::unique_ptr<EventCursor>> inputs)
     : inputs_(std::move(inputs)) {
-  slots_.resize(inputs_.size());
   heap_.reserve(inputs_.size());
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    if (inputs_[i]->next(slots_[i])) heap_.push_back(static_cast<std::uint32_t>(i));
+    EventCursor& input = *inputs_[i];
+    if (input.cur_ != input.end_ || input.refill()) {
+      heap_.push_back(Head{input.cur_->time, static_cast<std::uint32_t>(i)});
+    }
   }
-  const auto later = [this](std::uint32_t a, std::uint32_t b) { return after(a, b); };
-  // std::*_heap with a "comes later" comparator keeps the earliest slot at
+  const auto later = [this](const Head& a, const Head& b) { return after(a, b); };
+  // std::*_heap with a "comes later" comparator keeps the earliest head at
   // the front.  Invert by using it as a max-heap of "later" elements.
   std::make_heap(heap_.begin(), heap_.end(), later);
 }
 
 void MergeCursor::sift_down() {
   const std::size_t n = heap_.size();
-  const std::uint32_t moving = heap_[0];
+  const Head moving = heap_[0];
   std::size_t i = 0;
   while (true) {
     const std::size_t left = 2 * i + 1;
     if (left >= n) break;
-    std::size_t earliest = left;
-    const std::size_t right = left + 1;
-    if (right < n && after(heap_[left], heap_[right])) earliest = right;
+    // Branch-free child pick: the time compare decides almost every step
+    // and is unpredictable, so select instead of jumping.
+    const std::size_t earliest =
+        left + static_cast<std::size_t>(left + 1 < n && after(heap_[left], heap_[left + 1]));
     if (!after(moving, heap_[earliest])) break;
-    heap_[i] = heap_[earliest];  // hole technique: indices move, not events
+    heap_[i] = heap_[earliest];  // hole technique
     i = earliest;
   }
   heap_[i] = moving;
 }
 
-bool MergeCursor::next(Event& out) {
-  if (heap_.empty()) return false;
-  // The comparator is a strict total order (EventOrder + slot index), so the
-  // emitted sequence is independent of how the heap restores itself: replace
-  // the root's head in place and sift once, rather than pop + re-push.
-  const std::uint32_t top = heap_[0];
-  out = slots_[top];
-  if (inputs_[top]->next(slots_[top])) {
-    sift_down();
-  } else {
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down();
+bool MergeCursor::refill() {
+  // The comparator is a strict total order (EventOrder + input index), so
+  // the emitted sequence is independent of how the heap restores itself:
+  // replace the root's head in place and sift once, rather than pop +
+  // re-push.
+  constexpr std::size_t kBatchEvents = 256;
+  batch_.resize(kBatchEvents);
+  std::size_t n = 0;
+  while (n < kBatchEvents && !heap_.empty()) {
+    EventCursor& input = *inputs_[heap_[0].input];
+    batch_[n++] = *input.cur_++;
+    if (input.cur_ != input.end_ || input.refill()) {
+      heap_[0].time = input.cur_->time;
+      sift_down();
+    } else {
+      heap_[0] = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) sift_down();
+    }
   }
-  return true;
+  cur_ = batch_.data();
+  end_ = cur_ + n;
+  return n > 0;
 }
 
 std::vector<Event> collect(EventCursor& cursor) {

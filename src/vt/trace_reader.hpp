@@ -19,23 +19,46 @@
 namespace dyntrace::vt {
 
 /// Pull-based stream of events.  next() fills `out` and returns true, or
-/// returns false once the stream is exhausted.
+/// returns false once the stream is exhausted.  A cursor hands out its
+/// events in batches: next() copies from the current batch inline and
+/// calls the virtual refill() only when the batch runs out, and a
+/// MergeCursor compares its inputs' head events where they sit.  Each
+/// cursor's batch is its format's CRC granule -- a whole vector, a v2
+/// block, or a single v1 record -- so a corrupt v1 frame fails only when
+/// the reader reaches it.
 class EventCursor {
  public:
   virtual ~EventCursor() = default;
-  virtual bool next(Event& out) = 0;
+
+  bool next(Event& out) {
+    if (cur_ == end_ && !refill()) return false;
+    out = *cur_++;
+    return true;
+  }
+
+ protected:
+  /// Point [cur_, end_) at the next non-empty batch; false once exhausted.
+  /// Throws dyntrace::Error on corrupt input.
+  virtual bool refill() = 0;
+
+  const Event* cur_ = nullptr;
+  const Event* end_ = nullptr;
+
+ private:
+  friend class MergeCursor;  ///< reads and advances its inputs' batches
 };
 
 /// Cursor over an owned vector (callers pass it already sorted when the
-/// cursor feeds a merge).
+/// cursor feeds a merge).  The vector is its one batch.
 class VectorCursor final : public EventCursor {
  public:
   explicit VectorCursor(std::vector<Event> events) : events_(std::move(events)) {}
-  bool next(Event& out) override;
 
  private:
+  bool refill() override;
+
   std::vector<Event> events_;
-  std::size_t pos_ = 0;
+  bool served_ = false;
 };
 
 /// Cursor over `count` consecutive binary records starting at byte `offset`
@@ -45,10 +68,10 @@ class VectorCursor final : public EventCursor {
 class FileRunCursor final : public EventCursor {
  public:
   FileRunCursor(const std::string& path, std::uint64_t offset, std::uint64_t count);
-  bool next(Event& out) override;
 
  private:
-  void refill();
+  bool refill() override;  ///< decodes one record
+  void read_chunk();
 
   std::string path_;
   std::ifstream in_;
@@ -56,6 +79,7 @@ class FileRunCursor final : public EventCursor {
   std::vector<std::uint8_t> chunk_;
   std::size_t chunk_pos_ = 0;
   std::size_t chunk_records_ = 0;
+  Event record_;  ///< the current one-record batch
 };
 
 /// Cursor over `count` consecutive CRC-framed spill records (kSpillFrameBytes
@@ -66,10 +90,10 @@ class FileRunCursor final : public EventCursor {
 class FramedRunCursor final : public EventCursor {
  public:
   FramedRunCursor(const std::string& path, std::uint64_t offset, std::uint64_t count);
-  bool next(Event& out) override;
 
  private:
-  void refill();
+  bool refill() override;  ///< decodes one record
+  void read_chunk();
 
   std::string path_;
   std::ifstream in_;
@@ -77,6 +101,7 @@ class FramedRunCursor final : public EventCursor {
   std::vector<std::uint8_t> chunk_;
   std::size_t chunk_pos_ = 0;
   std::size_t chunk_records_ = 0;
+  Event record_;  ///< the current one-record batch
 };
 
 /// Salvage scan: the number of leading intact frames in the file, stopping
@@ -94,9 +119,9 @@ std::uint64_t salvage_frame_count(const std::string& path);
 class BlockRunCursor final : public EventCursor {
  public:
   BlockRunCursor(const std::string& path, std::uint64_t offset, std::uint64_t count);
-  bool next(Event& out) override;
 
  private:
+  bool refill() override;  ///< decodes one block
   void open_next_block();
 
   std::string path_;
@@ -105,33 +130,40 @@ class BlockRunCursor final : public EventCursor {
   std::vector<std::uint8_t> block_;
   BlockDecoder decoder_;
   std::vector<Event> chunk_;
-  std::size_t chunk_pos_ = 0;
 };
 
 /// K-way merge over sorted child cursors via a min-heap keyed by EventOrder.
 /// Ties resolve to the lower child index, so runs split from one append
 /// stream (earlier run = lower index) merge append-stably, and the merged
-/// order is deterministic for a given set of inputs.
+/// order is deterministic for a given set of inputs.  The merge fills its
+/// own batches, taking each event straight from the winning input's batch.
 class MergeCursor final : public EventCursor {
  public:
   explicit MergeCursor(std::vector<std::unique_ptr<EventCursor>> inputs);
-  bool next(Event& out) override;
 
  private:
-  /// True when slot a's head event sorts after slot b's (ties to the higher
-  /// slot index, so the lower index wins) -- a strict total order, which
-  /// makes the merged sequence independent of heap mechanics.
-  bool after(std::uint32_t a, std::uint32_t b) const;
+  /// A heap entry: a live input's index with its head event's time copied
+  /// alongside, so most comparisons touch only the heap array.
+  struct Head {
+    sim::TimeNs time;
+    std::uint32_t input;
+  };
 
-  /// Restore the heap property after the head event of slot heap_[0]
-  /// changed (replace-top sift: one root-to-leaf pass instead of pop_heap +
-  /// push_heap's two).  The heap holds 4-byte slot indices -- events stay in
-  /// their slots -- so a sift moves indices, not 32-byte records.
+  bool refill() override;
+
+  /// True when a's head event sorts after b's (ties to the higher input
+  /// index, so the lower index wins) -- a strict total order, which makes
+  /// the merged sequence independent of heap mechanics.
+  bool after(const Head& a, const Head& b) const;
+
+  /// Restore the heap property after the root's head event changed
+  /// (replace-top sift: one root-to-leaf pass instead of pop_heap +
+  /// push_heap's two).
   void sift_down();
 
   std::vector<std::unique_ptr<EventCursor>> inputs_;
-  std::vector<Event> slots_;           ///< current head event per live input
-  std::vector<std::uint32_t> heap_;    ///< min-heap of slot indices
+  std::vector<Head> heap_;    ///< min-heap of live inputs' heads
+  std::vector<Event> batch_;  ///< merged events handed out by next()
 };
 
 /// Drain a cursor into a vector (tests and small traces only).

@@ -1,15 +1,22 @@
 // Trace format v2: varint/zig-zag property tests, block round-trips,
 // redundancy suppression (counted super-records, bounded pattern table),
-// and block-granular torn-tail salvage (ISSUE 8).
+// block-granular torn-tail salvage, CRC32 known answers, and golden
+// encoder bytes pinned across encoder rewrites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "asci/app.hpp"
+#include "dynprof/launch.hpp"
 #include "vt/trace_codec_v2.hpp"
 #include "vt/trace_format.hpp"
 #include "vt/trace_reader.hpp"
@@ -415,6 +422,46 @@ TEST(SuppressionTable, AdversarialNonRepeatingTraceStaysBounded) {
   EXPECT_EQ(replay.size(), table.size());
 }
 
+TEST(SuppressionTable, MatchesReferenceModelUnderChurn) {
+  // Random notes over a key pool a few times the capacity drive refreshes,
+  // FIFO evictions and deletions from the middle of probe runs; every
+  // lookup must agree with a plain map + insertion-order model.
+  for (const std::size_t capacity : {1u, 3u, 5u, 37u, 300u}) {
+    Rng rng;
+    std::vector<std::uint64_t> keys(3 * capacity + 2);
+    for (auto& key : keys) key = rng.next();
+    keys[0] = 0;
+    SuppressionTable table(capacity);
+    std::map<std::uint64_t, std::uint32_t> model;
+    std::deque<std::uint64_t> order;
+    std::uint64_t evictions = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const std::uint64_t key = keys[rng.next() % keys.size()];
+      const auto period = static_cast<std::uint32_t>(1 + rng.next() % 16);
+      if (!model.contains(key)) {
+        if (model.size() >= capacity) {
+          model.erase(order.front());
+          order.pop_front();
+          ++evictions;
+        }
+        order.push_back(key);
+      }
+      model[key] = period;
+      table.note(key, period);
+      ASSERT_EQ(table.size(), model.size()) << "capacity " << capacity << " step " << step;
+      const std::uint64_t probe = keys[rng.next() % keys.size()];
+      const auto it = model.find(probe);
+      ASSERT_EQ(table.lookup(probe), it == model.end() ? 0u : it->second)
+          << "capacity " << capacity << " step " << step;
+    }
+    EXPECT_EQ(table.evictions(), evictions);
+    for (const std::uint64_t key : keys) {
+      const auto it = model.find(key);
+      EXPECT_EQ(table.lookup(key), it == model.end() ? 0u : it->second);
+    }
+  }
+}
+
 // --- torn-tail salvage on block frames (satellite 3) ------------------------
 
 std::string write_temp(const std::vector<std::uint8_t>& bytes, std::size_t keep,
@@ -616,6 +663,288 @@ TEST(TraceStoreV2, BinaryFileRoundTripsInBothFormats) {
   EXPECT_LT(v2_in.tellg() * 2, v1_in.tellg());
   std::remove(v1_path.c_str());
   std::remove(v2_path.c_str());
+}
+
+// --- CRC32 known answers ----------------------------------------------------
+
+/// Bit-at-a-time CRC-32 (IEEE, reflected): the reference the table-driven
+/// implementation must match at every length and alignment.
+std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, KnownAnswer) {
+  const char* check = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check), 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..67 cover the 8-byte main loop and every tail length; start
+  // offsets 0..7 put the main loop on every alignment.
+  Rng rng;
+  std::vector<std::uint8_t> buf(8 + 67);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      ASSERT_EQ(crc32(buf.data() + offset, len), crc32_bitwise(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+// --- golden encoder bytes ---------------------------------------------------
+//
+// The digests below were computed with the original byte-at-a-time encoder
+// (sorted dictionaries with per-record binary search, bytewise CRC).  Any
+// encoder rewrite must reproduce them exactly: the v2 bytes, the stats and
+// the suppression table's behaviour are part of the format contract.
+
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// One golden row: digest of every encoded byte plus the summed stats and
+/// the table's end state.
+struct Golden {
+  std::uint64_t digest = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t records = 0;
+  std::uint64_t supers = 0;
+  std::uint64_t suppressed = 0;
+  std::uint64_t table_hits = 0;
+  std::uint64_t hits = 0;       ///< SuppressionTable::hits()
+  std::uint64_t evictions = 0;  ///< SuppressionTable::evictions()
+
+  bool operator==(const Golden&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Golden& g) {
+  return os << "{0x" << std::hex << g.digest << std::dec << "ull, " << g.bytes << ", "
+            << g.records << ", " << g.supers << ", " << g.suppressed << ", "
+            << g.table_hits << ", " << g.hits << ", " << g.evictions << "}";
+}
+
+/// Accumulates encode calls into a Golden row.
+struct GoldenEncoder {
+  std::vector<std::uint8_t> all;
+  Golden row;
+
+  void encode(const Event* events, std::size_t count, SuppressionTable* table) {
+    std::vector<std::uint8_t> out;
+    const V2EncodeStats stats = encode_v2_blocks(events, count, table, out);
+    EXPECT_EQ(stats.bytes, out.size());
+    all.insert(all.end(), out.begin(), out.end());
+    row.bytes += stats.bytes;
+    row.records += stats.records;
+    row.supers += stats.supers;
+    row.suppressed += stats.suppressed;
+    row.table_hits += stats.table_hits;
+  }
+  void finish_table(const SuppressionTable* table) {
+    if (table == nullptr) return;
+    row.hits += table->hits();
+    row.evictions += table->evictions();
+  }
+  Golden result() {
+    row.digest = fnv1a64(all);
+    return row;
+  }
+};
+
+/// A seeded burst stream cut into spills of random size: call-burst
+/// patterns of period 1-17 drawn from a small recurring pool (so the table
+/// hits across spills), perturbed repetitions, plain noise, timestamps that
+/// wrap through INT64_MAX, and aux values at the int64 extremes.
+std::vector<std::vector<Event>> burst_spills(std::uint64_t seed) {
+  Rng rng;
+  rng.state ^= seed * 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 4; ++i) rng.next();
+  const auto pick = [&rng](std::uint64_t n) { return rng.next() % n; };
+  const auto extreme_aux = [&]() -> std::int64_t {
+    switch (pick(6)) {
+      case 0: return std::numeric_limits<std::int64_t>::min();
+      case 1: return std::numeric_limits<std::int64_t>::max();
+      case 2: return -1;
+      default: return static_cast<std::int64_t>(pick(64));
+    }
+  };
+  const std::int32_t pid = static_cast<std::int32_t>(pick(1000)) - 500;
+  std::uint64_t t = static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) -
+                    (std::uint64_t{1} << 22) * (1 + pick(8));
+  const auto make = [&](std::uint64_t time, EventKind kind, std::int32_t code,
+                        std::int64_t aux) {
+    // Mostly one pid/tid (a spill run's shape), occasionally another.
+    const std::int32_t p = pick(50) == 0 ? pid + 1 : pid;
+    const std::int32_t tid = pick(20) == 0 ? static_cast<std::int32_t>(pick(4)) : 0;
+    return make_event(static_cast<sim::TimeNs>(time), p, tid, kind, code, aux);
+  };
+
+  struct Pattern {
+    std::vector<Event> slots;  ///< time holds the offset within one repetition
+    std::uint64_t stride = 0;
+  };
+  std::vector<Pattern> pool;
+  for (int k = 0; k < 6; ++k) {
+    Pattern pattern;
+    const std::size_t period = 1 + pick(17);
+    std::uint64_t offset = 0;
+    for (std::size_t j = 0; j < period; ++j) {
+      pattern.slots.push_back(make_event(
+          static_cast<sim::TimeNs>(offset), pid, 0,
+          static_cast<EventKind>(pick(static_cast<int>(EventKind::kMarker) + 1)),
+          static_cast<std::int32_t>(pick(24)), extreme_aux()));
+      offset += pick(3) == 0 ? 0 : 1 + pick(200);
+    }
+    pattern.stride = pick(10) == 0 ? (std::uint64_t{1} << 40) + pick(99) : offset + pick(500);
+    pool.push_back(std::move(pattern));
+  }
+
+  std::vector<Event> stream;
+  while (stream.size() < 5 * kBlockRecords) {
+    if (pick(10) < 7) {
+      const Pattern& pattern = pool[pick(pool.size())];
+      const std::uint64_t reps = 1 + pick(pick(4) == 0 ? 300 : 12);
+      for (std::uint64_t r = 0; r < reps; ++r) {
+        for (const Event& slot : pattern.slots) {
+          Event e = slot;
+          e.time = static_cast<sim::TimeNs>(t + static_cast<std::uint64_t>(slot.time));
+          stream.push_back(e);
+        }
+        t += pattern.stride;
+        if (pick(40) == 0) ++t;  // break the stride mid-run
+      }
+    } else {
+      const std::uint64_t plain = 1 + pick(30);
+      for (std::uint64_t j = 0; j < plain; ++j) {
+        t += pick(8) == 0 ? std::uint64_t{0} - pick(1000) : pick(3000);
+        stream.push_back(make(t, static_cast<EventKind>(pick(11)),
+                              static_cast<std::int32_t>(pick(40)) - 20, extreme_aux()));
+      }
+    }
+  }
+
+  std::vector<std::vector<Event>> spills;
+  std::size_t at = 0;
+  while (at < stream.size()) {
+    const std::size_t n = std::min(stream.size() - at, 1 + pick(3 * kBlockRecords));
+    spills.emplace_back(stream.begin() + static_cast<std::ptrdiff_t>(at),
+                        stream.begin() + static_cast<std::ptrdiff_t>(at + n));
+    at += n;
+  }
+  return spills;
+}
+
+/// Encode 16 seeded burst streams, each with a fresh table of `capacity`
+/// persisting across that stream's spills (or no table when capacity < 0).
+Golden golden_bursts(long capacity) {
+  GoldenEncoder enc;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SuppressionTable table(capacity < 0 ? 0 : static_cast<std::size_t>(capacity));
+    SuppressionTable* t = capacity < 0 ? nullptr : &table;
+    for (const auto& spill : burst_spills(seed)) enc.encode(spill.data(), spill.size(), t);
+    enc.finish_table(t);
+  }
+  return enc.result();
+}
+
+TEST(TraceCodecV2Golden, BurstStreamsWithoutTable) {
+  EXPECT_EQ(golden_bursts(-1), (Golden{0x61cff45e0cb2618eull, 3302738, 343969, 0, 0, 0, 0, 0}));
+}
+
+TEST(TraceCodecV2Golden, BurstStreamsTableCapacityZero) {
+  EXPECT_EQ(golden_bursts(0), (Golden{0x49b2536b1ae333d0ull, 418193, 343969, 1613, 301859, 0, 0, 0}));
+}
+
+TEST(TraceCodecV2Golden, BurstStreamsTableCapacityThree) {
+  EXPECT_EQ(golden_bursts(3), (Golden{0xef813f60a45b17d7ull, 418665, 343969, 1614, 301825, 1130, 1130, 430}));
+}
+
+TEST(TraceCodecV2Golden, BurstStreamsTableCapacity1024) {
+  EXPECT_EQ(golden_bursts(1024), (Golden{0x5332d7cba313dec0ull, 418695, 343969, 1614, 301822, 1446, 1446, 0}));
+}
+
+TEST(TraceCodecV2Golden, WorstCaseBlockMaximisesEveryVarint) {
+  // One full block whose every item is as long as the format allows:
+  // all-distinct pid/tid/code spanning the int32 range (5-byte dictionary
+  // deltas, 2-byte indices), time deltas of +-2^63 and aux at the int64
+  // extremes (10-byte varints).  No two records share fields, so nothing
+  // is suppressed.
+  std::vector<Event> events;
+  constexpr std::int64_t kMin32 = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kSpan = std::int64_t{std::numeric_limits<std::uint32_t>::max()};
+  for (std::size_t i = 0; i < kBlockRecords; ++i) {
+    const auto spread = [&](std::size_t k) {
+      return static_cast<std::int32_t>(kMin32 + kSpan * static_cast<std::int64_t>(k) /
+                                                    static_cast<std::int64_t>(kBlockRecords - 1));
+    };
+    events.push_back(make_event(
+        (i % 2) == 0 ? 0 : std::numeric_limits<std::int64_t>::min(), spread(i),
+        spread(kBlockRecords - 1 - i), static_cast<EventKind>(i % 11),
+        spread((i * 1237) % kBlockRecords),
+        (i % 2) == 0 ? std::numeric_limits<std::int64_t>::min()
+                     : std::numeric_limits<std::int64_t>::max()));
+  }
+  GoldenEncoder enc;
+  SuppressionTable table(1024);
+  enc.encode(events.data(), events.size(), &table);
+  enc.finish_table(&table);
+  const Golden row = enc.result();
+  EXPECT_EQ(row, (Golden{0x1d8edfc0904f0666ull, 147091, 4096, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(row.supers, 0u);
+  EXPECT_EQ(decode_all(enc.all).size(), kBlockRecords);
+}
+
+/// A sweep3d Full/16 trace: the trace_spill workload's app and scale at a
+/// quarter of its ranks, long enough for several 256 KiB runs per rank.
+std::vector<Event> sweep3d_trace() {
+  dynprof::Launch::Options options;
+  options.app = &asci::sweep3d();
+  options.params.nprocs = 16;
+  options.policy = dynprof::Policy::kFull;
+  dynprof::Launch launch(std::move(options));
+  launch.run_to_completion();
+  return launch.trace()->merged();
+}
+
+TEST(TraceCodecV2Golden, Sweep3dSpillShapedAndMerged) {
+  const std::vector<Event> merged = sweep3d_trace();
+  ASSERT_FALSE(merged.empty());
+
+  // Spill-shaped: each rank's stream cut into 256 KiB runs, one table per
+  // rank persisting across its runs -- what TraceShard::spill encodes.
+  constexpr std::size_t kRunRecords = 256 * 1024 / sizeof(Event);
+  std::int32_t max_pid = 0;
+  for (const Event& e : merged) max_pid = std::max(max_pid, e.pid);
+  std::vector<std::vector<Event>> per_pid(static_cast<std::size_t>(max_pid) + 1);
+  for (const Event& e : merged) per_pid[static_cast<std::size_t>(e.pid)].push_back(e);
+  GoldenEncoder spill;
+  for (const auto& stream : per_pid) {
+    SuppressionTable table(ShardOptions{}.suppression_table_capacity);
+    for (std::size_t at = 0; at < stream.size(); at += kRunRecords) {
+      spill.encode(stream.data() + at, std::min(kRunRecords, stream.size() - at), &table);
+    }
+    spill.finish_table(&table);
+  }
+  EXPECT_EQ(spill.result(), (Golden{0x37eef6e91217e00eull, 1807391, 284352, 4609, 51168, 4593, 4593, 0}));
+
+  // Merged: the whole time-ordered trace through one table, as
+  // TraceStore::write_binary encodes a v2 file.
+  GoldenEncoder file;
+  SuppressionTable table(1024);
+  file.encode(merged.data(), merged.size(), &table);
+  file.finish_table(&table);
+  EXPECT_EQ(file.result(), (Golden{0x9a739d8072b803ffull, 2118997, 284352, 3, 21, 2, 2, 0}));
 }
 
 }  // namespace
