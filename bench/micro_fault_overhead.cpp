@@ -6,8 +6,9 @@
 // -- so a run without a fault plan must cost what it cost before the
 // harness existed.  This bench measures the combined filter-check +
 // in-memory-append loop with the hook absent vs present-but-idle, plus the
-// CRC-framed spill path, and emits BENCH_fault.json.  Shape check: the
-// idle hook costs < 2% (the acceptance bar for the no-fault hot path).
+// spill path (sorted runs encoded as CRC-framed blocks), and emits
+// BENCH_fault.json.  Shape check: the idle hook costs < 2% (the acceptance
+// bar for the no-fault hot path).
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -116,12 +117,11 @@ int main(int argc, char** argv) {
                      TextTable::num((ratio - 1.0) * 100.0, 2) + "%"});
   std::fputs(hot_table.render().c_str(), stdout);
 
-  // --- Part 2: the CRC-framed spill path (informative) --------------------
-  std::puts("\nPart 2: spill path with CRC32 framing (events/s through spills)\n");
+  // --- Part 2: the spill path (informative) --------------------------------
+  std::puts("\nPart 2: spill path with CRC-framed blocks (events/s through spills)\n");
   vt::ShardOptions spilling;
   spilling.spill_budget_bytes = std::size_t{1} << 16;  // 2048-record runs
   spilling.spill_dir = "";                             // system temp
-  spilling.format = vt::TraceFormat::kV1;  // this part measures the framed v1 path
 
   double spill_s;
   {
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
     spill_s = hot_rep(table, spilling, kSyms, n, &spill_rate);
   }
   const double spill_eps = static_cast<double>(n) / spill_s;
-  std::printf("  %.0f events/s (sort + frame + fsync + rename per %zu-byte run)\n",
+  std::printf("  %.0f events/s (sort + block encode + fsync + rename per %zu-byte run)\n",
               spill_eps, spilling.spill_budget_bytes);
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -146,12 +146,12 @@ int main(int argc, char** argv) {
                "    \"overhead_ratio\": %.4f,\n"
                "    \"recorded\": %llu\n"
                "  },\n"
-               "  \"spill_path\": {\"events_per_s\": %.0f, \"frame_bytes\": %zu}\n"
+               "  \"spill_path\": {\"events_per_s\": %.0f}\n"
                "}\n",
                static_cast<unsigned long long>(n), plain_rate.events_per_s,
                hooked_rate.events_per_s, ratio,
                static_cast<unsigned long long>(plain_rate.recorded + hooked_rate.recorded),
-               spill_eps, vt::kSpillFrameBytes);
+               spill_eps);
   std::fclose(f);
   std::printf("\nwrote %s\n", json_path.c_str());
 

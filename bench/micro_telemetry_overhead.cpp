@@ -66,8 +66,8 @@ CellResult run_cell(const asci::AppSpec& app, double scale, telemetry::Level lev
   config.sim_threads = sim_threads;
   config.telemetry_level = level;
   CellResult result;
-  config.telemetry_sink = [&](const telemetry::Registry& reg) {
-    result.snapshot = reg.snapshot();
+  config.on_complete = [&](dynprof::Launch& launch) {
+    result.snapshot = launch.telemetry_registry().snapshot();
   };
   const double begin = cpu_seconds();
   const dynprof::PolicyResult r = dynprof::run_policy(config);
@@ -233,7 +233,8 @@ int main(int argc, char** argv) {
   adaptive.sim_threads = threads > 1 ? threads : 2;  // window spans need shards
   adaptive.telemetry_level = telemetry::Level::kSpans;
   std::size_t span_events = 0;
-  adaptive.telemetry_sink = [&](const telemetry::Registry& reg) {
+  adaptive.on_complete = [&](dynprof::Launch& launch) {
+    const telemetry::Registry& reg = launch.telemetry_registry();
     spans_json = reg.chrome_trace_json();
     span_events = reg.span_event_count();
   };

@@ -94,6 +94,56 @@ int run_report(const std::string& path) {
   return 0;
 }
 
+/// Where a finished run's artifacts go; empty paths / false flags skip.
+struct OutputRequest {
+  std::string trace_path;            ///< --trace
+  std::string trace_bin_path;        ///< --trace-bin
+  std::string telemetry_stats_path;  ///< --telemetry-stats
+  std::string telemetry_trace_path;  ///< --telemetry-trace
+  bool timeline = false;             ///< --timeline
+  bool report = false;               ///< --report
+};
+
+/// Write every requested artifact of a finished run.  Both run paths (a
+/// static policy and the script-driven dynamic one) end here, so every
+/// output flag means the same thing under every --policy.
+void write_outputs(dynprof::Launch& launch, const asci::AppSpec& app,
+                   const OutputRequest& request) {
+  const vt::TraceStore& trace = *launch.trace();
+  if (!request.trace_path.empty()) {
+    trace.write(request.trace_path);
+    std::printf("trace (%zu events) written to %s\n", trace.size(),
+                request.trace_path.c_str());
+  }
+  if (!request.trace_bin_path.empty()) {
+    trace.write_binary(request.trace_bin_path);
+    std::printf("binary trace (%zu events) written to %s\n", trace.size(),
+                request.trace_bin_path.c_str());
+  }
+  const telemetry::Registry& registry = launch.telemetry_registry();
+  if (!request.telemetry_stats_path.empty()) {
+    std::ofstream out(request.telemetry_stats_path);
+    out << registry.stats_json();
+    std::printf("telemetry stats written to %s (render: dynprof_cli report %s)\n",
+                request.telemetry_stats_path.c_str(), request.telemetry_stats_path.c_str());
+  }
+  if (!request.telemetry_trace_path.empty()) {
+    std::ofstream out(request.telemetry_trace_path);
+    out << registry.chrome_trace_json();
+    std::printf("span trace (%zu event(s)) written to %s -- load it at "
+                "https://ui.perfetto.dev\n",
+                registry.span_event_count(), request.telemetry_trace_path.c_str());
+  }
+  if (request.report) {
+    std::printf("\n%s", analysis::summary_report(trace, app.symbols.get()).c_str());
+  } else {
+    analysis::TraceAnalyzer analyzer(trace);
+    std::printf("\ntop functions:\n%s",
+                analyzer.top_functions_table(app.symbols.get(), 10).c_str());
+  }
+  if (request.timeline) std::printf("\n%s", analysis::render_timeline(trace).c_str());
+}
+
 /// A target that names a trace file rather than a built-in kernel: any
 /// path-like token, or anything ending in .trace.
 bool is_trace_target(const std::string& name) {
@@ -111,20 +161,14 @@ int main(int argc, char** argv) {
   std::string machine_profile;
   std::string script_path;
   std::string timefile_path;
-  std::string tracefile_path;
-  std::string tracebin_path;
-  std::string trace_format_name = "v2";
+  OutputRequest outputs;
   std::int64_t trace_spill_bytes = 0;
   std::string fault_plan_path;
   std::int64_t fault_seed = -1;
-  bool show_timeline = false;
-  bool show_report = false;
   bool replay_strict = false;
   std::string policy_name = "dynamic";
   std::string subcommand_arg;
-  std::string telemetry_level = "off";
-  std::string telemetry_stats_path;
-  std::string telemetry_trace_path;
+  std::string telemetry_level_name = "off";
 
   CliParser parser("dynprof_cli",
                    "Dynamically instrument an ASCI kernel application (paper §3.3). "
@@ -141,12 +185,9 @@ int main(int argc, char** argv) {
       .option_double("scale", "problem scale factor", &scale)
       .option_string("script", "command script (default: read stdin)", &script_path)
       .option_string("timefile", "write dynprof internal timings here", &timefile_path)
-      .option_string("trace", "write the VGV trace file here", &tracefile_path)
-      .option_string("trace-bin", "write the compact binary trace here", &tracebin_path)
-      .option_string("trace-format",
-                     "binary/spill trace encoding: v1 (fixed records) | v2 "
-                     "(delta blocks + suppression; the default)",
-                     &trace_format_name)
+      .option_string("trace", "write the VGV trace file here", &outputs.trace_path)
+      .option_string("trace-bin", "write the compact binary trace here",
+                     &outputs.trace_bin_path)
       .option_int("trace-spill-bytes",
                   "per-shard byte budget before sorted runs spill to disk (0 = "
                   "keep shards in memory)",
@@ -155,13 +196,13 @@ int main(int argc, char** argv) {
                      &fault_plan_path)
       .option_int("fault-seed", "override the plan's seed", &fault_seed)
       .option_string("telemetry", "self-telemetry level: off | counters | spans",
-                     &telemetry_level)
+                     &telemetry_level_name)
       .option_string("telemetry-stats", "write the run's telemetry stats JSON here",
-                     &telemetry_stats_path)
+                     &outputs.telemetry_stats_path)
       .option_string("telemetry-trace",
                      "write Chrome trace-event JSON here (Perfetto loadable; needs "
                      "--telemetry=spans)",
-                     &telemetry_trace_path)
+                     &outputs.telemetry_trace_path)
       .option_string("policy",
                      "instrumentation policy: dynamic (script-driven; the default) | "
                      "none | full | full-off | subset | adaptive",
@@ -169,8 +210,8 @@ int main(int argc, char** argv) {
       .flag("replay-strict",
             "reject recognized-but-unreplayed trace verbs instead of skip-counting",
             &replay_strict)
-      .flag("timeline", "print the postmortem time-line", &show_timeline)
-      .flag("report", "print the full summary report (matrix, balance)", &show_report)
+      .flag("timeline", "print the postmortem time-line", &outputs.timeline)
+      .flag("report", "print the full summary report (matrix, balance)", &outputs.report)
       .option_string("machine", "machine profile: builtin name or .ini path", &machine_profile);
 
   try {
@@ -207,6 +248,11 @@ int main(int argc, char** argv) {
     }
 
     const dynprof::Policy policy = dynprof::policy_from_string(policy_name);
+    const telemetry::Level telemetry_level = telemetry::level_from_string(telemetry_level_name);
+    DT_EXPECT(outputs.telemetry_trace_path.empty() ||
+                  telemetry_level == telemetry::Level::kSpans,
+              "--telemetry-trace needs --telemetry=spans");
+    DT_EXPECT(trace_spill_bytes >= 0, "--trace-spill-bytes must be >= 0");
 
     std::string script_text;
     if (policy == dynprof::Policy::kDynamic) {
@@ -250,17 +296,11 @@ int main(int argc, char** argv) {
       config.problem_scale = scale;
       config.machine = machine_spec;
       config.sim_threads = static_cast<int>(sim_threads);
-      config.telemetry_level = telemetry::level_from_string(telemetry_level);
-      config.trace_format = vt::trace_format_from_string(trace_format_name);
-      DT_EXPECT(trace_spill_bytes >= 0, "--trace-spill-bytes must be >= 0");
+      config.telemetry_level = telemetry_level;
       config.trace_spill_bytes = static_cast<std::size_t>(trace_spill_bytes);
-      if (!telemetry_stats_path.empty()) {
-        config.telemetry_sink = [&](const telemetry::Registry& registry) {
-          std::ofstream out(telemetry_stats_path);
-          out << registry.stats_json();
-          std::printf("telemetry stats written to %s\n", telemetry_stats_path.c_str());
-        };
-      }
+      config.on_complete = [&](dynprof::Launch& launch) {
+        write_outputs(launch, *app, outputs);
+      };
       const dynprof::PolicyResult r = dynprof::run_policy(config);
       std::printf("application '%s' under policy %s on %d cpu(s):\n", app->name.c_str(),
                   dynprof::to_string(policy), r.nprocs);
@@ -289,10 +329,7 @@ int main(int argc, char** argv) {
     options.machine = machine_spec;
     options.sim_threads = static_cast<int>(sim_threads);
     options.fault = injector;
-    options.telemetry_level = telemetry::level_from_string(telemetry_level);
-    const vt::TraceFormat trace_format = vt::trace_format_from_string(trace_format_name);
-    options.trace_format = trace_format;
-    DT_EXPECT(trace_spill_bytes >= 0, "--trace-spill-bytes must be >= 0");
+    options.telemetry_level = telemetry_level;
     options.trace_spill_bytes = static_cast<std::size_t>(trace_spill_bytes);
     dynprof::Launch launch(std::move(options));
 
@@ -340,43 +377,7 @@ int main(int argc, char** argv) {
       std::printf("\n%s", tool.timefile_text().c_str());
     }
 
-    if (!tracefile_path.empty()) {
-      launch.trace()->write(tracefile_path);
-      std::printf("trace (%zu events) written to %s\n", launch.trace()->size(),
-                  tracefile_path.c_str());
-    }
-    if (!tracebin_path.empty()) {
-      launch.trace()->write_binary(tracebin_path, trace_format);
-      std::printf("binary trace (%zu events, %s) written to %s\n", launch.trace()->size(),
-                  vt::to_string(trace_format).c_str(), tracebin_path.c_str());
-    }
-
-    if (!telemetry_stats_path.empty()) {
-      std::ofstream out(telemetry_stats_path);
-      out << launch.telemetry_registry().stats_json();
-      std::printf("telemetry stats written to %s (render: dynprof_cli report %s)\n",
-                  telemetry_stats_path.c_str(), telemetry_stats_path.c_str());
-    }
-    if (!telemetry_trace_path.empty()) {
-      DT_EXPECT(launch.telemetry_registry().spans_enabled(),
-                "--telemetry-trace needs --telemetry=spans");
-      std::ofstream out(telemetry_trace_path);
-      out << launch.telemetry_registry().chrome_trace_json();
-      std::printf("span trace (%zu event(s)) written to %s -- load it at "
-                  "https://ui.perfetto.dev\n",
-                  launch.telemetry_registry().span_event_count(), telemetry_trace_path.c_str());
-    }
-
-    if (show_report) {
-      std::printf("\n%s", analysis::summary_report(*launch.trace(), app->symbols.get()).c_str());
-    } else {
-      analysis::TraceAnalyzer analyzer(*launch.trace());
-      std::printf("\ntop functions:\n%s",
-                  analyzer.top_functions_table(app->symbols.get(), 10).c_str());
-    }
-    if (show_timeline) {
-      std::printf("\n%s", analysis::render_timeline(*launch.trace()).c_str());
-    }
+    write_outputs(launch, *app, outputs);
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "dynprof_cli: %s\n", e.what());

@@ -98,7 +98,6 @@ Launch::Launch(Options options)
   vt::TraceStore::Options store_options;
   store_options.spill_budget_bytes = options_.trace_spill_bytes;
   store_options.spill_dir = options_.trace_spill_dir;
-  store_options.format = options_.trace_format;
   if (options_.fault != nullptr) {
     // Every layer gates on the cluster's injector pointer; setting it is
     // what switches the stack into fault-tolerant mode.

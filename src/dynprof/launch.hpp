@@ -72,8 +72,7 @@ class Launch {
     std::size_t trace_spill_bytes = 0;
     /// Spill directory for shard runs; empty = system temp directory.
     std::string trace_spill_dir;
-    /// On-disk encoding for spilled runs (and the write_binary default):
-    /// v2 delta blocks by default, v1 fixed records for migration.
+    /// Never read; kept only for perfbench source compatibility (a benchmark change drops it).
     vt::TraceFormat trace_format = vt::TraceFormat::kV2;
     /// First node used for application processes (tool daemons etc. can
     /// use the nodes above the application's).

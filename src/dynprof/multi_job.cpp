@@ -105,7 +105,6 @@ MultiJobLaunch::MultiJobLaunch(MultiJobOptions options)
     lo.first_app_cpu = job.first_cpu;
     lo.job_name = job.name;
     lo.trace_spill_bytes = options_.trace_spill_bytes;
-    lo.trace_format = options_.trace_format;
     lo.fault = options_.fault;
     lo.shared_engine = psim_.get();
     lo.shared_cluster = cluster_.get();

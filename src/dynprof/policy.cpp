@@ -31,7 +31,6 @@ PolicyResult run_policy(const RunConfig& config) {
   options.sim_threads = config.sim_threads;
   options.telemetry_level = config.telemetry_level;
   options.trace_spill_bytes = config.trace_spill_bytes;
-  options.trace_format = config.trace_format;
   Launch launch(std::move(options));
 
   PolicyResult result;
@@ -100,7 +99,7 @@ PolicyResult run_policy(const RunConfig& config) {
   }
   result.trace_digest = launch.trace()->digest();
   result.stats_digest = vt::stats_digest(launch.vt(0).statistics());
-  if (config.telemetry_sink) config.telemetry_sink(launch.telemetry_registry());
+  if (config.on_complete) config.on_complete(launch);
   return result;
 }
 

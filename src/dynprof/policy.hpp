@@ -25,14 +25,14 @@ struct RunConfig {
   /// Self-telemetry level for the run (DESIGN.md §12).  Telemetry never
   /// perturbs simulated results -- digests are identical at every level.
   telemetry::Level telemetry_level = telemetry::default_level();
-  /// Trace-shard spill budget and run encoding (see Launch::Options).  The
-  /// format changes bytes on disk only -- digests, statistics, and decision
-  /// logs are bit-identical between v1 and v2.
+  /// Trace-shard spill budget (see Launch::Options).  Spilling changes
+  /// where records live only -- digests, statistics, and decision logs are
+  /// bit-identical with and without it.
   std::size_t trace_spill_bytes = 0;
-  vt::TraceFormat trace_format = vt::TraceFormat::kV2;
-  /// Capture the run's telemetry artifacts after completion (set by the CLI
-  /// when --telemetry-stats/--telemetry-trace ask for files).
-  std::function<void(const telemetry::Registry&)> telemetry_sink;
+  /// Called with the finished Launch before run_policy returns, while its
+  /// trace and telemetry are still alive (the CLI writes its output files
+  /// here; tests snapshot telemetry).
+  std::function<void(Launch&)> on_complete;
 
   // --- Policy::kAdaptive only ----------------------------------------------
   /// Budget controller configuration (see control::ControllerOptions).

@@ -1,33 +1,20 @@
-// The compact binary trace encodings (v1 and v2).
+// The compact binary trace encoding: the file header, and the primitives
+// the block codec (trace_codec_v2.hpp) is built from.
 //
-// v1 -- fixed width, all little-endian, so a record can be located by index
-// without parsing its predecessors:
+// A trace file is a 16-byte header, all little-endian:
 //
-//   header (16 bytes):
 //     [0..4)   magic "DTRC"
-//     [4..6)   format version (u16)
-//     [6..8)   record size in bytes (u16; 32 for v1, 0 for v2 = variable)
+//     [4..6)   format version (u16; 2)
+//     [6..8)   record size in bytes (u16; 0 = variable-length records)
 //     [8..16)  record count (u64)
-//   records (32 bytes each):
-//     [0..8)   time (i64 ns)
-//     [8..16)  aux (i64)
-//     [16..20) pid (i32)
-//     [20..24) tid (i32)
-//     [24..28) code (i32)
-//     [28]     kind (u8)
-//     [29..32) reserved, zero
 //
-// v2 -- the same 16-byte file header (version 2, record size 0) followed by
-// self-contained CRC-framed *blocks* of varint zig-zag delta records with
-// per-block dictionaries and counted super-records (trace_codec_v2.hpp).
-//
-// Spill runs wrap records for crash safety instead of using a file header:
-// v1 wraps each record in a *frame* -- the 32 record bytes followed by
-// their CRC32 (little-endian u32, 36 bytes total); v2 spill runs are a bare
-// block sequence (each block already carries its own magic + CRC).  Either
-// way a run torn mid-write is recoverable: every complete, checksummed
-// frame/block before the tear is salvaged and the corrupt tail is skipped
-// and counted (see TraceShard).
+// followed by self-contained CRC-framed *blocks* of varint zig-zag delta
+// records with per-block dictionaries and counted super-records
+// (trace_codec_v2.hpp).  Spill runs carry no file header: a run is a bare
+// block sequence (each block has its own magic + CRC), so a run torn
+// mid-write keeps every complete, CRC-valid block before the tear (see
+// TraceShard).  Version 1 -- fixed 32-byte records, 36-byte CRC spill
+// frames -- is retired; its files are rejected like any unknown version.
 #pragma once
 
 #include <cstddef>
@@ -40,56 +27,34 @@ namespace dyntrace::vt {
 
 inline constexpr std::uint8_t kTraceMagic[4] = {'D', 'T', 'R', 'C'};
 
-/// On-disk encoding generation.  v1: fixed 32-byte records, CRC per spill
-/// frame.  v2: varint delta blocks with per-block dictionaries, suppression
-/// super-records, and CRC per block.
+/// The on-disk encoding's version tag (the header's version field).
 enum class TraceFormat : std::uint16_t {
-  kV1 = 1,
   kV2 = 2,
 };
 
-inline constexpr std::uint16_t kTraceFormatV1 = 1;
-inline constexpr std::uint16_t kTraceFormatV2 = 2;
-/// Newest version this reader/writer understands (the write default).
-inline constexpr std::uint16_t kTraceFormatVersion = kTraceFormatV2;
+/// The one version this reader/writer speaks.
+inline constexpr std::uint16_t kTraceFormatVersion =
+    static_cast<std::uint16_t>(TraceFormat::kV2);
 inline constexpr std::size_t kTraceHeaderBytes = 16;
-inline constexpr std::size_t kTraceRecordBytes = 32;
-
-/// Parse "v1"/"v2" (or bare "1"/"2"); throws dyntrace::Error on anything
-/// else, naming the accepted spellings.
-TraceFormat trace_format_from_string(const std::string& name);
-std::string to_string(TraceFormat format);
 
 /// True if `kind` is a defined EventKind discriminant.
 inline bool valid_event_kind(std::uint8_t kind) {
   return kind <= static_cast<std::uint8_t>(EventKind::kMarker);
 }
 
-/// Decoded file-header fields (see decode_trace_header).
-struct TraceHeader {
-  std::uint16_t version = 0;
-  std::uint64_t record_count = 0;
-};
-
 /// Serialize the file header into `out` (kTraceHeaderBytes bytes).
-void encode_trace_header(TraceFormat format, std::uint64_t record_count, std::uint8_t* out);
+void encode_trace_header(std::uint64_t record_count, std::uint8_t* out);
 
-/// Validate magic/version/record size of a header and return the decoded
-/// fields; throws dyntrace::Error (mentioning `context`, typically the file
+/// Validate magic/version/record size of a header and return its record
+/// count; throws dyntrace::Error (mentioning `context`, typically the file
 /// path) on mismatch or if fewer than kTraceHeaderBytes bytes are present.
-/// A version this reader does not implement is rejected with an explicit
-/// versioned message (which versions the file and the reader speak), so a
-/// v1-only consumer fails loudly on a v2 file instead of misparsing it.
-TraceHeader decode_trace_header(const std::uint8_t* data, std::size_t size,
-                                const std::string& context);
+/// Any version but kTraceFormatVersion -- the retired v1 included -- is
+/// rejected with a message naming the file's version and the reader's, so
+/// an old file fails loudly instead of being misparsed.
+std::uint64_t decode_trace_header(const std::uint8_t* data, std::size_t size,
+                                  const std::string& context);
 
-/// Serialize one event into `out` (kTraceRecordBytes bytes, v1 layout).
-void encode_event(const Event& event, std::uint8_t* out);
-
-/// Parse one v1 record; throws dyntrace::Error on an unknown event kind.
-Event decode_event(const std::uint8_t* in, const std::string& context);
-
-// --- little-endian + varint primitives (shared with the v2 block codec) ----
+// --- little-endian + varint primitives (used by the block codec) ----------
 
 void put_u32_le(std::uint8_t* out, std::uint32_t v);
 std::uint32_t get_u32_le(const std::uint8_t* in);
@@ -147,20 +112,7 @@ inline std::int64_t zigzag_decode(std::uint64_t v) {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
-// --- CRC-framed spill records (v1) -----------------------------------------
-
-inline constexpr std::size_t kSpillFrameBytes = kTraceRecordBytes + 4;
-
 /// CRC-32 (IEEE 802.3 polynomial, reflected) of `size` bytes.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
-
-/// Serialize one event as a v1 spill frame: record bytes + CRC32 of them
-/// (kSpillFrameBytes bytes).
-void encode_spill_frame(const Event& event, std::uint8_t* out);
-
-/// Validate and parse one v1 spill frame.  Returns false (without throwing)
-/// on CRC mismatch or an unknown event kind -- the salvage path treats
-/// either as the torn tail of a run.
-bool decode_spill_frame(const std::uint8_t* in, Event& out);
 
 }  // namespace dyntrace::vt

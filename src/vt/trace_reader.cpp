@@ -7,100 +7,12 @@
 
 namespace dyntrace::vt {
 
-namespace {
-
-/// Records decoded per chunk refill (128 KiB of file per read).
-constexpr std::size_t kChunkRecords = 4096;
-
-}  // namespace
-
 bool VectorCursor::refill() {
   if (served_ || events_.empty()) return false;
   served_ = true;
   cur_ = events_.data();
   end_ = cur_ + events_.size();
   return true;
-}
-
-FileRunCursor::FileRunCursor(const std::string& path, std::uint64_t offset,
-                             std::uint64_t count)
-    : path_(path), in_(path, std::ios::binary), remaining_(count) {
-  DT_EXPECT(in_.good(), "cannot open trace file '", path_, "'");
-  in_.seekg(static_cast<std::streamoff>(offset));
-  DT_EXPECT(in_.good(), path_, ": cannot seek to run offset ", offset);
-}
-
-void FileRunCursor::read_chunk() {
-  const std::size_t want =
-      static_cast<std::size_t>(std::min<std::uint64_t>(remaining_, kChunkRecords));
-  chunk_.resize(want * kTraceRecordBytes);
-  in_.read(reinterpret_cast<char*>(chunk_.data()),
-           static_cast<std::streamsize>(chunk_.size()));
-  const auto got = static_cast<std::size_t>(in_.gcount());
-  DT_EXPECT(got == chunk_.size(), path_, ": truncated trace data (expected ", remaining_,
-            " more record(s))");
-  chunk_pos_ = 0;
-  chunk_records_ = want;
-}
-
-bool FileRunCursor::refill() {
-  if (remaining_ == 0) return false;
-  if (chunk_pos_ >= chunk_records_) read_chunk();
-  record_ = decode_event(chunk_.data() + chunk_pos_ * kTraceRecordBytes, path_);
-  ++chunk_pos_;
-  --remaining_;
-  cur_ = &record_;
-  end_ = cur_ + 1;
-  return true;
-}
-
-FramedRunCursor::FramedRunCursor(const std::string& path, std::uint64_t offset,
-                                 std::uint64_t count)
-    : path_(path), in_(path, std::ios::binary), remaining_(count) {
-  DT_EXPECT(in_.good(), "cannot open spill run '", path_, "'");
-  in_.seekg(static_cast<std::streamoff>(offset));
-  DT_EXPECT(in_.good(), path_, ": cannot seek to run offset ", offset);
-}
-
-void FramedRunCursor::read_chunk() {
-  const std::size_t want =
-      static_cast<std::size_t>(std::min<std::uint64_t>(remaining_, kChunkRecords));
-  chunk_.resize(want * kSpillFrameBytes);
-  in_.read(reinterpret_cast<char*>(chunk_.data()),
-           static_cast<std::streamsize>(chunk_.size()));
-  const auto got = static_cast<std::size_t>(in_.gcount());
-  DT_EXPECT(got == chunk_.size(), path_, ": truncated spill run (expected ", remaining_,
-            " more frame(s))");
-  chunk_pos_ = 0;
-  chunk_records_ = want;
-}
-
-bool FramedRunCursor::refill() {
-  if (remaining_ == 0) return false;
-  if (chunk_pos_ >= chunk_records_) read_chunk();
-  const bool ok = decode_spill_frame(chunk_.data() + chunk_pos_ * kSpillFrameBytes, record_);
-  DT_EXPECT(ok, path_, ": corrupt spill frame (CRC mismatch) with ", remaining_,
-            " frame(s) expected");
-  ++chunk_pos_;
-  --remaining_;
-  cur_ = &record_;
-  end_ = cur_ + 1;
-  return true;
-}
-
-std::uint64_t salvage_frame_count(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  DT_EXPECT(in.good(), "cannot open spill run '", path, "'");
-  std::uint64_t intact = 0;
-  std::uint8_t frame[kSpillFrameBytes];
-  Event scratch;
-  while (true) {
-    in.read(reinterpret_cast<char*>(frame), sizeof(frame));
-    if (static_cast<std::size_t>(in.gcount()) < sizeof(frame)) break;
-    if (!decode_spill_frame(frame, scratch)) break;
-    ++intact;
-  }
-  return intact;
 }
 
 BlockRunCursor::BlockRunCursor(const std::string& path, std::uint64_t offset,

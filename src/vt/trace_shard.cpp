@@ -11,7 +11,6 @@
 #include "support/common.hpp"
 #include "support/strings.hpp"
 #include "telemetry/metrics.hpp"
-#include "vt/trace_format.hpp"
 
 namespace dyntrace::vt {
 
@@ -113,17 +112,8 @@ void TraceShard::spill() {
   // adjustments, adversarial input).
   std::stable_sort(tail_.begin(), tail_.end(), EventOrder{});
   std::vector<std::uint8_t> bytes;
-  V2EncodeStats enc;
-  if (options_.format == TraceFormat::kV2) {
-    SuppressionTable* table =
-        options_.suppression_table_capacity > 0 ? &suppression_ : nullptr;
-    enc = encode_v2_blocks(tail_.data(), tail_.size(), table, bytes);
-  } else {
-    bytes.resize(tail_.size() * kSpillFrameBytes);
-    for (std::size_t i = 0; i < tail_.size(); ++i) {
-      encode_spill_frame(tail_[i], bytes.data() + i * kSpillFrameBytes);
-    }
-  }
+  SuppressionTable* table = options_.suppression_table_capacity > 0 ? &suppression_ : nullptr;
+  const V2EncodeStats enc = encode_v2_blocks(tail_.data(), tail_.size(), table, bytes);
   const std::uint64_t run_index = runs_.size();
   std::size_t written = bytes.size();
   if (options_.spill_fault) {
@@ -140,18 +130,14 @@ void TraceShard::spill() {
   reg.add(tm.vt_spill_bytes, written);
   reg.add(tm.vt_spill_records, tail_.size());
   spilled_bytes_ += written;
-  if (options_.format == TraceFormat::kV2) {
-    suppressed_records_ += enc.suppressed;
-    super_records_ += enc.supers;
-    reg.add(tm.vt_suppression_hits, enc.suppressed);
-    reg.add(tm.vt_suppression_supers, enc.supers);
-    const std::uint64_t new_evictions = suppression_.evictions() - noted_evictions_;
-    if (new_evictions > 0) reg.add(tm.vt_suppression_evictions, new_evictions);
-    noted_evictions_ = suppression_.evictions();
-    reg.observe(tm.vt_bytes_per_event, written / tail_.size());
-  } else {
-    reg.observe(tm.vt_bytes_per_event, kSpillFrameBytes);
-  }
+  suppressed_records_ += enc.suppressed;
+  super_records_ += enc.supers;
+  reg.add(tm.vt_suppression_hits, enc.suppressed);
+  reg.add(tm.vt_suppression_supers, enc.supers);
+  const std::uint64_t new_evictions = suppression_.evictions() - noted_evictions_;
+  if (new_evictions > 0) reg.add(tm.vt_suppression_evictions, new_evictions);
+  noted_evictions_ = suppression_.evictions();
+  reg.observe(tm.vt_bytes_per_event, written / tail_.size());
   if (written == bytes.size()) {
     // Atomic publish: the run exists completely or not at all.
     DT_EXPECT(std::rename(tmp_path.c_str(), final_path.c_str()) == 0,
@@ -160,11 +146,8 @@ void TraceShard::spill() {
     spilled_records_ += tail_.size();
   } else {
     // Torn mid-write: the rename never happened, so the run is still a
-    // `.tmp`.  Salvage everything complete and CRC-valid before the tear
-    // (v1: whole frames, v2: whole blocks).
-    const std::uint64_t salvaged = options_.format == TraceFormat::kV2
-                                       ? salvage_v2_scan(tmp_path).records
-                                       : salvage_frame_count(tmp_path);
+    // `.tmp`.  Salvage every whole, CRC-valid block before the tear.
+    const std::uint64_t salvaged = salvage_v2_scan(tmp_path).records;
     runs_.push_back(Run{tmp_path, salvaged, true});
     spilled_records_ += salvaged;
     salvaged_records_ += salvaged;
@@ -182,11 +165,7 @@ std::vector<std::unique_ptr<EventCursor>> TraceShard::run_cursors() const {
   cursors.reserve(runs_.size() + 1);
   for (const Run& run : runs_) {
     if (run.count == 0) continue;
-    if (options_.format == TraceFormat::kV2) {
-      cursors.push_back(std::make_unique<BlockRunCursor>(run.path, 0, run.count));
-    } else {
-      cursors.push_back(std::make_unique<FramedRunCursor>(run.path, 0, run.count));
-    }
+    cursors.push_back(std::make_unique<BlockRunCursor>(run.path, 0, run.count));
   }
   if (!tail_.empty()) {
     std::vector<Event> sorted_tail = tail_;

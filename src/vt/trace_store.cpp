@@ -1,7 +1,6 @@
 #include "vt/trace_store.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 
 #include "support/common.hpp"
@@ -178,52 +177,33 @@ void TraceStore::write(const std::string& path) const {
   DT_EXPECT(out.good(), "I/O error writing trace file '", path, "'");
 }
 
-void TraceStore::write_binary(const std::string& path, TraceFormat format) const {
+void TraceStore::write_binary(const std::string& path, TraceFormat) const {
   std::ofstream out(path, std::ios::binary);
   DT_EXPECT(out.good(), "cannot open trace file '", path, "' for writing");
   std::uint8_t header[kTraceHeaderBytes];
-  encode_trace_header(format, size(), header);
+  encode_trace_header(size(), header);
   out.write(reinterpret_cast<const char*>(header), sizeof(header));
 
+  // Buffer whole blocks of merged events and encode them with the same
+  // suppression codec the spill path uses (one table for the file).
   auto cursor = merge_cursor();
+  SuppressionTable table(1024);
+  std::vector<Event> batch;
+  batch.reserve(kBlockRecords);
+  std::vector<std::uint8_t> encoded;
+  const auto flush = [&] {
+    encoded.clear();
+    encode_v2_blocks(batch.data(), batch.size(), &table, encoded);
+    out.write(reinterpret_cast<const char*>(encoded.data()),
+              static_cast<std::streamsize>(encoded.size()));
+    batch.clear();
+  };
   Event e;
-  if (format == TraceFormat::kV2) {
-    // Buffer whole blocks of merged events and encode them with the same
-    // suppression codec the spill path uses (one table for the file).
-    SuppressionTable table(1024);
-    std::vector<Event> batch;
-    batch.reserve(kBlockRecords);
-    std::vector<std::uint8_t> encoded;
-    const auto flush = [&] {
-      encoded.clear();
-      encode_v2_blocks(batch.data(), batch.size(), &table, encoded);
-      out.write(reinterpret_cast<const char*>(encoded.data()),
-                static_cast<std::streamsize>(encoded.size()));
-      batch.clear();
-    };
-    while (cursor->next(e)) {
-      batch.push_back(e);
-      if (batch.size() == kBlockRecords) flush();
-    }
-    if (!batch.empty()) flush();
-  } else {
-    std::vector<std::uint8_t> chunk;
-    chunk.reserve(4096 * kTraceRecordBytes);
-    std::uint8_t record[kTraceRecordBytes];
-    while (cursor->next(e)) {
-      encode_event(e, record);
-      chunk.insert(chunk.end(), record, record + kTraceRecordBytes);
-      if (chunk.size() >= 4096 * kTraceRecordBytes) {
-        out.write(reinterpret_cast<const char*>(chunk.data()),
-                  static_cast<std::streamsize>(chunk.size()));
-        chunk.clear();
-      }
-    }
-    if (!chunk.empty()) {
-      out.write(reinterpret_cast<const char*>(chunk.data()),
-                static_cast<std::streamsize>(chunk.size()));
-    }
+  while (cursor->next(e)) {
+    batch.push_back(e);
+    if (batch.size() == kBlockRecords) flush();
   }
+  if (!batch.empty()) flush();
   DT_EXPECT(out.good(), "I/O error writing trace file '", path, "'");
 }
 
@@ -232,19 +212,11 @@ std::unique_ptr<EventCursor> TraceStore::open_binary(const std::string& path) {
   DT_EXPECT(in.good(), "cannot open trace file '", path, "'");
   std::uint8_t header[kTraceHeaderBytes];
   in.read(reinterpret_cast<char*>(header), sizeof(header));
-  const TraceHeader h =
+  const std::uint64_t record_count =
       decode_trace_header(header, static_cast<std::size_t>(in.gcount()), path);
-  if (h.version == kTraceFormatV2) {
-    // Blocks are variable-length; framing is validated per block (CRC) as
-    // the cursor streams.
-    return std::make_unique<BlockRunCursor>(path, kTraceHeaderBytes, h.record_count);
-  }
-  std::error_code ec;
-  const auto file_size = std::filesystem::file_size(path, ec);
-  DT_EXPECT(!ec && file_size == kTraceHeaderBytes + h.record_count * kTraceRecordBytes,
-            path, ": trace payload size does not match header (", h.record_count,
-            " record(s) declared)");
-  return std::make_unique<FileRunCursor>(path, kTraceHeaderBytes, h.record_count);
+  // Blocks are variable-length; framing is validated per block (CRC) as the
+  // cursor streams.
+  return std::make_unique<BlockRunCursor>(path, kTraceHeaderBytes, record_count);
 }
 
 TraceStore TraceStore::read(const std::string& path) {

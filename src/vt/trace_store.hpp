@@ -109,12 +109,11 @@ class TraceStore {
   /// kept for compatibility); throws dyntrace::Error on I/O failure.
   void write(const std::string& path) const;
 
-  /// Serialize to the compact binary format (trace_format.hpp), streamed
-  /// through the merge so the trace is never fully resident.  v2 (the
-  /// default) writes delta blocks with suppression; v1 writes fixed
-  /// records for consumers that predate the block codec.
-  void write_binary(const std::string& path,
-                    TraceFormat format = TraceFormat::kV2) const;
+  /// Serialize to the compact binary format (trace_format.hpp): delta
+  /// blocks with suppression, streamed through the merge so the trace is
+  /// never fully resident.
+  /// The TraceFormat parameter is ignored; kept only for perfbench (a benchmark change drops it).
+  void write_binary(const std::string& path, TraceFormat = TraceFormat::kV2) const;
 
   /// Parse a file written by write() or write_binary(); the format is
   /// auto-detected from the magic bytes.

@@ -11,6 +11,7 @@
 
 #include "dynprof/tool.hpp"
 #include "fault/injector.hpp"
+#include "vt/trace_codec_v2.hpp"
 
 namespace dyntrace::dynprof {
 namespace {
@@ -39,8 +40,7 @@ struct MatrixResult {
 
 MatrixResult run_cell(const std::string& app_name, const std::string& plan_text,
                       int sim_threads, const std::string& script_text,
-                      std::size_t spill_bytes = 0,
-                      vt::TraceFormat format = vt::TraceFormat::kV2) {
+                      std::size_t spill_bytes = 0, double scale = kScale) {
   const asci::AppSpec* app = asci::find_app(app_name);
   EXPECT_NE(app, nullptr);
   auto injector =
@@ -49,12 +49,11 @@ MatrixResult run_cell(const std::string& app_name, const std::string& plan_text,
   Launch::Options options;
   options.app = app;
   options.params.nprocs = kRanks;
-  options.params.problem_scale = kScale;
+  options.params.problem_scale = scale;
   options.policy = Policy::kDynamic;
   options.sim_threads = sim_threads;
   options.trace_spill_bytes = spill_bytes;
   options.trace_spill_dir = ::testing::TempDir();
-  options.trace_format = format;
   options.fault = injector;
   Launch launch(std::move(options));
 
@@ -82,13 +81,12 @@ MatrixResult run_cell_deterministically(const std::string& app_name,
                                         const std::string& plan_text,
                                         const std::string& script_text,
                                         std::size_t spill_bytes = 0,
-                                        vt::TraceFormat format = vt::TraceFormat::kV2) {
-  const MatrixResult t1 =
-      run_cell(app_name, plan_text, 1, script_text, spill_bytes, format);
+                                        double scale = kScale) {
+  const MatrixResult t1 = run_cell(app_name, plan_text, 1, script_text, spill_bytes, scale);
   EXPECT_TRUE(t1.tool_finished) << app_name;
   for (const int threads : {2, 8}) {
-    const MatrixResult tn = run_cell(app_name, plan_text, threads, script_text,
-                                     spill_bytes, format);
+    const MatrixResult tn =
+        run_cell(app_name, plan_text, threads, script_text, spill_bytes, scale);
     EXPECT_TRUE(tn.tool_finished) << app_name << " sim-threads=" << threads;
     EXPECT_EQ(t1.digest, tn.digest)
         << app_name << ": trace diverged at sim-threads=" << threads;
@@ -180,10 +178,15 @@ TEST_P(FaultMatrix, TenfoldDelaysOnlySlowTheControlPlane) {
 }
 
 TEST_P(FaultMatrix, TornShardSalvagesAndMerges) {
-  // v1 salvage is frame-granular: half a run's bytes keep half its records.
+  // Salvage is block-granular, so the torn run must span two blocks: a
+  // full one plus a quarter (5120 records).  The apps run at a larger
+  // scale here so rank 3 fills that run; keeping 90% of its bytes tears
+  // the second block and salvages the first.
+  constexpr std::size_t kRunRecords = vt::kBlockRecords + vt::kBlockRecords / 4;
+  const double scale = std::string(GetParam()) == "smg98" ? 3.5 : 0.3;
   const MatrixResult r = run_cell_deterministically(
-      GetParam(), "seed 15\ntear-shard rank=3 spill=0 keep=0.5\n", kPlainScript,
-      /*spill_bytes=*/std::size_t{1} << 11, vt::TraceFormat::kV1);
+      GetParam(), "seed 15\ntear-shard rank=3 spill=0 keep=0.9\n", kPlainScript,
+      /*spill_bytes=*/kRunRecords * sizeof(vt::Event), scale);
   EXPECT_EQ(r.salvage.torn_shards, 1u);
   EXPECT_GT(r.salvage.salvaged_records, 0u);
   EXPECT_GT(r.salvage.lost_records, 0u);

@@ -1,8 +1,9 @@
-// Trace format v2 equivalence (ISSUE 8): the spill encoding changes bytes
-// on disk only.  For the same run configuration, v1 and v2 must produce
-// bit-identical merged traces, statistics, and adaptive decision logs, at
-// every --sim-threads -- with the spill budget low enough that the merge
-// actually reads encoded runs back, not just memory.
+// Spill equivalence: spilling trace shards to encoded runs changes where
+// records live, never what they are.  For the same run configuration, a
+// run whose shards spill 128-event block runs (so the merge really reads
+// encoded runs back, not just memory) must produce bit-identical merged
+// traces, statistics, and adaptive decision logs to the same run kept in
+// memory -- at every --sim-threads.
 #include <gtest/gtest.h>
 
 #include "analysis/report.hpp"
@@ -11,7 +12,7 @@
 namespace dyntrace::dynprof {
 namespace {
 
-PolicyResult run_cell(Policy policy, vt::TraceFormat format, int sim_threads) {
+PolicyResult run_cell(Policy policy, std::size_t spill_bytes, int sim_threads) {
   RunConfig config;
   config.app = &asci::smg98();
   config.policy = policy;
@@ -19,41 +20,43 @@ PolicyResult run_cell(Policy policy, vt::TraceFormat format, int sim_threads) {
   config.problem_scale = 0.15;
   config.seed = 42;
   config.sim_threads = sim_threads;
-  config.trace_spill_bytes = std::size_t{1} << 12;  // 128-event runs: many spills
-  config.trace_format = format;
+  config.trace_spill_bytes = spill_bytes;
   return run_policy(config);
 }
 
+constexpr std::size_t kNoSpill = 0;
+constexpr std::size_t kSmallRuns = std::size_t{1} << 12;  // 128-event runs: many spills
+
 TEST(FormatEquivalence, FullRunDigestsMatchAcrossFormatsAndThreads) {
-  const PolicyResult base = run_cell(Policy::kFull, vt::TraceFormat::kV1, 1);
+  const PolicyResult base = run_cell(Policy::kFull, kNoSpill, 1);
   ASSERT_GT(base.trace_events, 0u);
   ASSERT_GT(base.trace_digest, 0u);
-  for (const vt::TraceFormat format : {vt::TraceFormat::kV1, vt::TraceFormat::kV2}) {
+  for (const std::size_t spill : {kNoSpill, kSmallRuns}) {
     for (const int threads : {1, 2, 4}) {
-      const PolicyResult r = run_cell(Policy::kFull, format, threads);
+      const PolicyResult r = run_cell(Policy::kFull, spill, threads);
       EXPECT_EQ(r.trace_digest, base.trace_digest)
-          << vt::to_string(format) << " sim-threads=" << threads;
+          << "spill=" << spill << " sim-threads=" << threads;
       EXPECT_EQ(r.stats_digest, base.stats_digest)
-          << vt::to_string(format) << " sim-threads=" << threads;
+          << "spill=" << spill << " sim-threads=" << threads;
       EXPECT_EQ(r.trace_events, base.trace_events)
-          << vt::to_string(format) << " sim-threads=" << threads;
+          << "spill=" << spill << " sim-threads=" << threads;
       EXPECT_EQ(r.app_seconds, base.app_seconds)
-          << vt::to_string(format) << " sim-threads=" << threads;
+          << "spill=" << spill << " sim-threads=" << threads;
     }
   }
 }
 
 TEST(FormatEquivalence, AdaptiveDecisionLogIdenticalAcrossFormats) {
   // The controller's decision trail is driven by measured overhead, which
-  // must not see the encoding at all.
-  const PolicyResult v1 = run_cell(Policy::kAdaptive, vt::TraceFormat::kV1, 1);
-  const PolicyResult v2 = run_cell(Policy::kAdaptive, vt::TraceFormat::kV2, 2);
-  EXPECT_EQ(v1.trace_digest, v2.trace_digest);
-  EXPECT_EQ(v1.stats_digest, v2.stats_digest);
-  EXPECT_EQ(v1.confsyncs, v2.confsyncs);
-  ASSERT_FALSE(v1.decisions.decisions.empty());
-  EXPECT_EQ(analysis::render_decision_log(v1.decisions),
-            analysis::render_decision_log(v2.decisions));
+  // must not see where the trace is kept at all.
+  const PolicyResult memory = run_cell(Policy::kAdaptive, kNoSpill, 1);
+  const PolicyResult spilled = run_cell(Policy::kAdaptive, kSmallRuns, 2);
+  EXPECT_EQ(memory.trace_digest, spilled.trace_digest);
+  EXPECT_EQ(memory.stats_digest, spilled.stats_digest);
+  EXPECT_EQ(memory.confsyncs, spilled.confsyncs);
+  ASSERT_FALSE(memory.decisions.decisions.empty());
+  EXPECT_EQ(analysis::render_decision_log(memory.decisions),
+            analysis::render_decision_log(spilled.decisions));
 }
 
 }  // namespace

@@ -385,8 +385,8 @@ TEST(TelemetryIntegration, CountersMatchAcrossSimThreadSweep) {
     config.problem_scale = 0.15;
     config.sim_threads = threads;
     config.telemetry_level = telemetry::Level::kCounters;
-    config.telemetry_sink = [&snaps](const telemetry::Registry& reg) {
-      snaps.push_back(reg.snapshot());
+    config.on_complete = [&snaps](Launch& launch) {
+      snaps.push_back(launch.telemetry_registry().snapshot());
     };
     digests.push_back(run_policy(config).trace_digest);
   }
@@ -417,7 +417,9 @@ TEST(TelemetryIntegration, SequentialRunObservesQueueDepth) {
   config.problem_scale = 0.05;
   config.sim_threads = 1;
   config.telemetry_level = telemetry::Level::kCounters;
-  config.telemetry_sink = [&snap](const telemetry::Registry& reg) { snap = reg.snapshot(); };
+  config.on_complete = [&snap](Launch& launch) {
+    snap = launch.telemetry_registry().snapshot();
+  };
   run_policy(config);
   const auto it = std::find_if(snap.histograms.begin(), snap.histograms.end(),
                                [](const auto& h) { return h.name == "sim.queue_depth"; });
@@ -459,7 +461,8 @@ TEST(TelemetryIntegration, AdaptiveRunExportsAlignedConfsyncSpans) {
   config.problem_scale = 0.1;
   config.sim_threads = 2;
   config.telemetry_level = telemetry::Level::kSpans;
-  config.telemetry_sink = [&](const telemetry::Registry& reg) {
+  config.on_complete = [&](Launch& launch) {
+    const telemetry::Registry& reg = launch.telemetry_registry();
     trace_json = reg.chrome_trace_json();
     snap = reg.snapshot();
   };

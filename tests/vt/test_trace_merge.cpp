@@ -6,8 +6,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "support/common.hpp"
+#include "vt/trace_codec_v2.hpp"
 #include "vt/trace_format.hpp"
 #include "vt/trace_reader.hpp"
 #include "vt/trace_store.hpp"
@@ -201,25 +205,54 @@ TEST(TraceBinary, TruncatedPayloadThrows) {
   store.append(make_event(1, 0));
   store.append(make_event(2, 0));
   const std::string path = ::testing::TempDir() + "/trace_truncated.bin";
-  store.write_binary(path, TraceFormat::kV1);
-  // Chop the last record in half.
+  store.write_binary(path);
+  // Chop the block's last payload byte: the header still promises two
+  // records, but the block is torn.
   std::error_code ec;
-  std::filesystem::resize_file(path, kTraceHeaderBytes + kTraceRecordBytes + 16, ec);
+  const auto size = std::filesystem::file_size(path, ec);
+  ASSERT_FALSE(ec);
+  std::filesystem::resize_file(path, size - 1, ec);
   ASSERT_FALSE(ec);
   EXPECT_THROW(TraceStore::read(path), Error);
   std::remove(path.c_str());
+}
+
+/// Recompute the CRC of the block that starts at `block` in `bytes`, so a
+/// deliberately edited payload reaches the decoder instead of failing the
+/// checksum first.
+void reseal_block(std::vector<std::uint8_t>& bytes, std::size_t block) {
+  const std::uint32_t payload = get_u32_le(bytes.data() + block + 8);
+  put_u32_le(bytes.data() + block + 4,
+             crc32(bytes.data() + block + 8, kBlockHeaderBytes - 8 + payload));
 }
 
 TEST(TraceBinary, UnknownKindByteThrows) {
   TraceStore store;
   store.append(make_event(1, 0));
   const std::string path = ::testing::TempDir() + "/trace_badkind.bin";
-  store.write_binary(path, TraceFormat::kV1);
+  store.write_binary(path);
+  std::vector<std::uint8_t> bytes;
   {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(kTraceHeaderBytes + 28));  // kind byte of record 0
-    const char bad = 0x7f;
-    f.write(&bad, 1);
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  // Walk past the three dictionaries (pid, tid, code: a count, then that
+  // many varints each) to record 0's kind tag.
+  const std::size_t block = kTraceHeaderBytes;
+  const std::uint8_t* p = bytes.data() + block + kBlockHeaderBytes;
+  const std::uint8_t* end = bytes.data() + bytes.size();
+  for (int dict = 0; dict < 3; ++dict) {
+    std::uint64_t n = 0, value = 0;
+    ASSERT_TRUE(get_varint(&p, end, &n));
+    for (std::uint64_t i = 0; i < n; ++i) ASSERT_TRUE(get_varint(&p, end, &value));
+  }
+  ASSERT_LT(p, end);
+  bytes[static_cast<std::size_t>(p - bytes.data())] = 0x7f;  // not a kind, not kSuperTag
+  reseal_block(bytes, block);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
   }
   EXPECT_THROW(TraceStore::read(path), Error);
   std::remove(path.c_str());
@@ -229,22 +262,26 @@ TEST(TraceBinary, UnsupportedVersionThrows) {
   TraceStore store;
   store.append(make_event(1, 0));
   const std::string path = ::testing::TempDir() + "/trace_badversion.bin";
-  store.write_binary(path);
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(4);  // version field
-    const char v3[2] = {3, 0};
-    f.write(v3, 2);
-  }
-  // A reader that only speaks v1 and v2 must reject the file loudly, naming
-  // both the file's version and its own.
-  try {
-    TraceStore::read(path);
-    FAIL() << "version 3 was accepted";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
-    EXPECT_NE(what.find("v1 and v2"), std::string::npos) << what;
+  // Version 1 is the retired fixed-record format; 3 is from the future.
+  // Either way this reader must reject the file loudly, naming the path,
+  // the file's version and its own.
+  for (const char version : {1, 3}) {
+    store.write_binary(path);
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(4);  // version field
+      const char field[2] = {version, 0};
+      f.write(field, 2);
+    }
+    try {
+      TraceStore::read(path);
+      FAIL() << "version " << int{version} << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find("version " + std::to_string(version)), std::string::npos) << what;
+      EXPECT_NE(what.find("speaks v2 only"), std::string::npos) << what;
+    }
   }
   std::remove(path.c_str());
 }
@@ -273,30 +310,27 @@ TEST(TraceText, UnknownEventKindThrows) {
 
 TEST(TraceFormat, HeaderRejectsBadMagicAndRecordSize) {
   std::uint8_t header[kTraceHeaderBytes];
-  encode_trace_header(TraceFormat::kV1, 3, header);
-  TraceHeader decoded = decode_trace_header(header, sizeof(header), "t");
-  EXPECT_EQ(decoded.version, kTraceFormatV1);
-  EXPECT_EQ(decoded.record_count, 3u);
-
-  encode_trace_header(TraceFormat::kV2, 9, header);
-  decoded = decode_trace_header(header, sizeof(header), "t");
-  EXPECT_EQ(decoded.version, kTraceFormatV2);
-  EXPECT_EQ(decoded.record_count, 9u);
+  encode_trace_header(9, header);
+  EXPECT_EQ(decode_trace_header(header, sizeof(header), "t"), 9u);
+  EXPECT_EQ(header[4] | (header[5] << 8), kTraceFormatVersion);
 
   std::uint8_t bad_magic[kTraceHeaderBytes];
-  encode_trace_header(TraceFormat::kV1, 3, bad_magic);
+  encode_trace_header(3, bad_magic);
   bad_magic[0] = 'X';
   EXPECT_THROW(decode_trace_header(bad_magic, sizeof(bad_magic), "t"), Error);
 
   std::uint8_t bad_size[kTraceHeaderBytes];
-  encode_trace_header(TraceFormat::kV1, 3, bad_size);
-  bad_size[6] = 16;  // record size 16 instead of 32
+  encode_trace_header(3, bad_size);
+  bad_size[6] = 32;  // records must be advertised variable-length (0)
   EXPECT_THROW(decode_trace_header(bad_size, sizeof(bad_size), "t"), Error);
 
-  std::uint8_t bad_v2_size[kTraceHeaderBytes];
-  encode_trace_header(TraceFormat::kV2, 3, bad_v2_size);
-  bad_v2_size[6] = 32;  // v2 must advertise variable-length records (0)
-  EXPECT_THROW(decode_trace_header(bad_v2_size, sizeof(bad_v2_size), "t"), Error);
+  // A well-formed header of the retired fixed-record format: version 1,
+  // 32-byte records.
+  std::uint8_t v1_header[kTraceHeaderBytes];
+  encode_trace_header(3, v1_header);
+  v1_header[4] = 1;
+  v1_header[6] = 32;
+  EXPECT_THROW(decode_trace_header(v1_header, sizeof(v1_header), "t"), Error);
 }
 
 TEST(TraceStoreSharded, EventsGroupsByProcess) {

@@ -1,5 +1,5 @@
-// Crash-safe spill runs: atomic tmp+fsync+rename publication, CRC framing,
-// and the torn-run salvage path (ISSUE: every complete record before the
+// Crash-safe spill runs: atomic tmp+fsync+rename publication, per-block CRC
+// framing, and the torn-run salvage path (every complete block before the
 // tear is recovered; the corrupt tail is skipped and counted).
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "vt/trace_format.hpp"
+#include "vt/trace_codec_v2.hpp"
 #include "vt/trace_reader.hpp"
 #include "vt/trace_shard.hpp"
 #include "vt/trace_store.hpp"
@@ -25,24 +25,40 @@ Event make_event(sim::TimeNs time, std::int32_t pid, std::int32_t code) {
   return e;
 }
 
-/// Records per spill run for a given budget (spill triggers when the tail
-/// reaches the budget in in-memory Event bytes).
-std::size_t records_per_run(std::size_t budget) { return budget / sizeof(Event); }
+/// `count` events of one pid, encoded as exactly one block.
+std::vector<std::uint8_t> one_block(sim::TimeNs t0, std::size_t count) {
+  std::vector<Event> events;
+  for (std::size_t i = 0; i < count; ++i) {
+    events.push_back(make_event(t0 + static_cast<sim::TimeNs>(i), 0,
+                                static_cast<std::int32_t>(t0) + static_cast<std::int32_t>(i)));
+  }
+  std::vector<std::uint8_t> bytes;
+  encode_v2_blocks(events.data(), events.size(), nullptr, bytes);
+  return bytes;
+}
 
 TEST(SpillFrame, CrcDetectsCorruption) {
+  // The block is the spill run's CRC granule: a flip anywhere in it --
+  // magic, checksum, length, count or payload -- fails validation.
   const Event event = make_event(12345, 3, 42);
-  std::uint8_t frame[kSpillFrameBytes];
-  encode_spill_frame(event, frame);
+  std::vector<std::uint8_t> block;
+  encode_v2_blocks(&event, 1, nullptr, block);
+  BlockDecoder decoder;
+  std::size_t block_bytes = 0;
+  std::uint32_t records = 0;
+  ASSERT_TRUE(decoder.reset(block.data(), block.size(), &block_bytes, &records));
+  ASSERT_EQ(block_bytes, block.size());
+  ASSERT_EQ(records, 1u);
   Event decoded;
-  ASSERT_TRUE(decode_spill_frame(frame, decoded));
+  ASSERT_TRUE(decoder.next(decoded));
   EXPECT_EQ(decoded.time, event.time);
   EXPECT_EQ(decoded.pid, event.pid);
   EXPECT_EQ(decoded.code, event.code);
-  for (std::size_t i = 0; i < kSpillFrameBytes; ++i) {
-    std::uint8_t bad[kSpillFrameBytes];
-    std::copy(frame, frame + kSpillFrameBytes, bad);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    std::vector<std::uint8_t> bad = block;
     bad[i] ^= 0x40;
-    EXPECT_FALSE(decode_spill_frame(bad, decoded)) << "flip at byte " << i;
+    EXPECT_FALSE(decoder.reset(bad.data(), bad.size(), &block_bytes, &records))
+        << "flip at byte " << i;
   }
 }
 
@@ -81,15 +97,14 @@ TEST(TraceShard, CleanSpillPublishesAtomically) {
 }
 
 TEST(TraceShard, TornSpillSalvagesLeadingFrames) {
-  const std::size_t per_run = records_per_run(4 * sizeof(Event));
+  // Two-block runs.  Run 1 of pid 9 loses its last byte, which tears its
+  // second block: exactly the first block's records are salvageable.
+  const std::size_t per_run = 2 * kBlockRecords;
   ShardOptions options;
-  options.spill_budget_bytes = 4 * sizeof(Event);
+  options.spill_budget_bytes = per_run * sizeof(Event);
   options.spill_dir = ::testing::TempDir();
-  options.format = TraceFormat::kV1;  // frame-exact salvage math below is v1's
-  // Run 1 of pid 9 is cut mid-record: 2.5 frames' worth of bytes reach the
-  // disk, so exactly 2 records are salvageable.
   options.spill_fault = [](std::int32_t pid, std::uint64_t run, std::size_t bytes) {
-    if (pid == 9 && run == 1) return kSpillFrameBytes * 5 / 2;
+    if (pid == 9 && run == 1) return bytes - 1;
     return bytes;
   };
   TraceShard shard(9, options);
@@ -99,12 +114,12 @@ TEST(TraceShard, TornSpillSalvagesLeadingFrames) {
   }
 
   EXPECT_TRUE(shard.torn());
-  EXPECT_EQ(shard.salvaged_records(), 2u);
+  EXPECT_EQ(shard.salvaged_records(), kBlockRecords);
   // Lost: the torn tail of run 1, plus everything appended after the tear
   // (the writer is gone).
-  EXPECT_EQ(shard.lost_records(), total - per_run - 2u);
+  EXPECT_EQ(shard.lost_records(), total - per_run - kBlockRecords);
 
-  // The shard's merged view = run 0 intact + 2 salvaged records of run 1.
+  // The shard's merged view = run 0 intact + the salvaged block of run 1.
   auto cursor = shard.cursor();
   Event event;
   std::size_t read = 0;
@@ -112,51 +127,58 @@ TEST(TraceShard, TornSpillSalvagesLeadingFrames) {
     EXPECT_EQ(event.code, static_cast<std::int32_t>(read));
     ++read;
   }
-  EXPECT_EQ(read, per_run + 2u);
+  EXPECT_EQ(read, per_run + kBlockRecords);
 }
 
 TEST(TraceStore, SalvageStatsAggregateAcrossShards) {
+  const std::size_t per_run = 2 * kBlockRecords;
   TraceStore::Options options;
-  options.spill_budget_bytes = 2 * sizeof(Event);
+  options.spill_budget_bytes = per_run * sizeof(Event);
   options.spill_dir = ::testing::TempDir();
-  options.format = TraceFormat::kV1;  // frame-exact salvage math below is v1's
   options.spill_fault = [](std::int32_t pid, std::uint64_t run, std::size_t bytes) {
-    if (pid == 1 && run == 0) return kSpillFrameBytes;  // keep 1 of 2 frames
+    if (pid == 1 && run == 0) return bytes - 1;  // keep 1 of 2 blocks
     return bytes;
   };
   TraceStore store(options);
-  for (int i = 0; i < 4; ++i) {
-    store.append(make_event(i, 0, i));
-    store.append(make_event(i, 1, i));
+  for (std::size_t i = 0; i < 2 * per_run; ++i) {
+    const auto t = static_cast<sim::TimeNs>(i);
+    store.append(make_event(t, 0, static_cast<std::int32_t>(i)));
+    store.append(make_event(t, 1, static_cast<std::int32_t>(i)));
   }
   const auto stats = store.salvage_stats();
   EXPECT_EQ(stats.torn_shards, 1u);
-  EXPECT_EQ(stats.salvaged_records, 1u);
-  EXPECT_EQ(stats.lost_records, 3u);  // 1 torn away + 2 dropped after
+  EXPECT_EQ(stats.salvaged_records, kBlockRecords);
+  EXPECT_EQ(stats.lost_records, 3 * kBlockRecords);  // 1 block torn away + 1 run dropped after
 
   // The k-way merge still serves everything pid 0 wrote plus the salvaged
-  // record -- corrupt tails are skipped, not fatal.
+  // block -- corrupt tails are skipped, not fatal.
   std::size_t merged = 0;
   Event event;
   auto cursor = store.merge_cursor();
   while (cursor->next(event)) ++merged;
-  EXPECT_EQ(merged, 4u + 1u);
+  EXPECT_EQ(merged, 2 * per_run + kBlockRecords);
 }
 
 TEST(TraceReader, SalvageFrameCountStopsAtFirstBadFrame) {
   const std::string path = ::testing::TempDir() + "/salvage_scan.bin";
-  std::vector<std::uint8_t> bytes(3 * kSpillFrameBytes + 7);  // + short garbage tail
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::size_t> starts;
   for (int i = 0; i < 3; ++i) {
-    encode_spill_frame(make_event(i, 0, i), bytes.data() + i * kSpillFrameBytes);
+    starts.push_back(bytes.size());
+    const std::vector<std::uint8_t> block = one_block(100 * i, 10);
+    bytes.insert(bytes.end(), block.begin(), block.end());
   }
-  bytes[2 * kSpillFrameBytes + 5] ^= 0xff;  // corrupt frame 2
+  bytes.insert(bytes.end(), 7, std::uint8_t{0xab});  // + short garbage tail
+  bytes[starts[2] + kBlockHeaderBytes + 5] ^= 0xff;   // corrupt block 2's payload
   {
     FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fwrite(bytes.data(), 1, bytes.size(), f);
     std::fclose(f);
   }
-  EXPECT_EQ(salvage_frame_count(path), 2u);
+  const BlockSalvage salvage = salvage_v2_scan(path);
+  EXPECT_EQ(salvage.blocks, 2u);
+  EXPECT_EQ(salvage.records, 20u);
   std::remove(path.c_str());
 }
 
