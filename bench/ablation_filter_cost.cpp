@@ -29,13 +29,14 @@ int main(int argc, char** argv) {
     spec.costs.vt_filter_lookup = lookup;
 
     auto run = [&](Policy policy) {
-      dynprof::RunConfig config;
-      config.app = &asci::sppm();
-      config.policy = policy;
-      config.nprocs = 8;
-      config.problem_scale = scale;
-      config.machine = spec;
-      return dynprof::run_policy(config).app_seconds;
+      dynprof::RunSpec cell;
+      cell.jobs = {{.app = &asci::sppm(),
+                    .policy = policy,
+                    .nprocs = 8,
+                    .problem_scale = scale,
+                    .seed = cell.seed}};
+      cell.machine = spec;
+      return dynprof::run(cell).jobs.front().app_seconds;
     };
     const double off = run(Policy::kFullOff);
     const double none = run(Policy::kNone);

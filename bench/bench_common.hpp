@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "dynprof/policy.hpp"
+#include "dynprof/run.hpp"
 #include "machine/spec.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
@@ -67,7 +67,7 @@ inline std::optional<machine::MachineSpec> machine_for_cpus(int cpus) {
   return spec;
 }
 
-inline PolicySweep run_policy_sweep(const asci::AppSpec& app, double scale,
+inline PolicySweep sweep_policies(const asci::AppSpec& app, double scale,
                                     std::uint64_t seed, int sim_threads = 1,
                                     int max_cpus = 0) {
   // --max-cpus beyond the app's paper ceiling: sweep a widened copy on a
@@ -81,17 +81,18 @@ inline PolicySweep run_policy_sweep(const asci::AppSpec& app, double scale,
   for (const auto policy : sweep.policies) {
     std::vector<double> row;
     for (const int cpus : sweep.cpus) {
-      dynprof::RunConfig config;
-      config.app = &widened;
-      config.policy = policy;
-      config.nprocs = cpus;
-      config.problem_scale = scale;
-      config.seed = seed;
-      config.sim_threads = sim_threads;
+      dynprof::RunSpec spec;
+      spec.jobs = {{.app = &widened,
+                    .policy = policy,
+                    .nprocs = cpus,
+                    .problem_scale = scale,
+                    .seed = seed}};
+      spec.seed = seed;
+      spec.sim_threads = sim_threads;
       if (widened.model != asci::AppSpec::Model::kOpenMP) {
-        config.machine = machine_for_cpus(cpus);
+        spec.machine = machine_for_cpus(cpus);
       }
-      row.push_back(dynprof::run_policy(config).app_seconds);
+      row.push_back(dynprof::run(spec).jobs.front().app_seconds);
       std::fprintf(stderr, ".");
       std::fflush(stderr);
     }
@@ -116,15 +117,16 @@ inline ParallelCompare run_parallel_compare(const asci::AppSpec& app, dynprof::P
                                             int nprocs, double scale, std::uint64_t seed,
                                             int threads) {
   const auto cell = [&](int sim_threads, double* wall_s) {
-    dynprof::RunConfig config;
-    config.app = &app;
-    config.policy = policy;
-    config.nprocs = nprocs;
-    config.problem_scale = scale;
-    config.seed = seed;
-    config.sim_threads = sim_threads;
+    dynprof::RunSpec spec;
+    spec.jobs = {{.app = &app,
+                  .policy = policy,
+                  .nprocs = nprocs,
+                  .problem_scale = scale,
+                  .seed = seed}};
+    spec.seed = seed;
+    spec.sim_threads = sim_threads;
     const auto begin = std::chrono::steady_clock::now();
-    const dynprof::PolicyResult result = dynprof::run_policy(config);
+    const dynprof::JobResult result = dynprof::run(spec).jobs.front();
     *wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
     return result;
   };

@@ -65,26 +65,28 @@ int main(int argc, char** argv) {
   std::puts("Part 2: Smg98 execution time at 64 CPUs (s)");
   const asci::AppSpec app = asci::smg98();
   auto run_one = [&](Policy policy) {
-    dynprof::RunConfig config;
-    config.app = &app;
-    config.policy = policy;
-    config.nprocs = 64;
-    config.problem_scale = scale;
-    config.seed = static_cast<std::uint64_t>(seed);
-    config.controller.budget_fraction = budget;
-    // The probe actuator: removed probes cost exactly zero, which is what
-    // lets a fully instrumented launch converge to None-like time.
-    config.controller.actuator = control::Actuator::kProbe;
-    config.tree_arity = static_cast<int>(arity);
-    config.sim_threads = static_cast<int>(sim_threads);
-    const auto result = dynprof::run_policy(config);
+    dynprof::RunSpec spec;
+    spec.seed = static_cast<std::uint64_t>(seed);
+    spec.jobs = {{.app = &app,
+                  .policy = policy,
+                  .nprocs = 64,
+                  .problem_scale = scale,
+                  .seed = spec.seed,
+                  // The probe actuator: removed probes cost exactly zero, which
+                  // is what lets a fully instrumented launch converge to
+                  // None-like time.
+                  .controller = {.budget_fraction = budget,
+                                 .actuator = control::Actuator::kProbe},
+                  .tree_arity = static_cast<int>(arity)}};
+    spec.sim_threads = static_cast<int>(sim_threads);
+    const auto result = dynprof::run(spec).jobs.front();
     std::fprintf(stderr, ".");
     std::fflush(stderr);
     return result;
   };
-  const dynprof::PolicyResult none = run_one(Policy::kNone);
-  const dynprof::PolicyResult subset = run_one(Policy::kSubset);
-  const dynprof::PolicyResult adaptive = run_one(Policy::kAdaptive);
+  const dynprof::JobResult none = run_one(Policy::kNone);
+  const dynprof::JobResult subset = run_one(Policy::kSubset);
+  const dynprof::JobResult adaptive = run_one(Policy::kAdaptive);
   std::fprintf(stderr, "\n");
 
   TextTable app_table({"Policy", "Time (s)", "Trace events", "Confsyncs"});

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto sweep = run_policy_sweep(asci::sweep3d(), options.scale,
+  const auto sweep = sweep_policies(asci::sweep3d(), options.scale,
                                       static_cast<std::uint64_t>(options.seed),
                                       static_cast<int>(options.sim_threads),
                                       static_cast<int>(options.max_cpus));

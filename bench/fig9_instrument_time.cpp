@@ -10,28 +10,21 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "dynprof/tool.hpp"
 
 namespace {
 
 double instrument_time(const dyntrace::asci::AppSpec& app, int nprocs, double scale) {
   using namespace dyntrace;
-  dynprof::Launch::Options options;
-  options.app = &app;
-  options.params.nprocs = nprocs;
-  options.params.problem_scale = scale;
-  options.policy = dynprof::Policy::kDynamic;
+  dynprof::RunSpec spec;
+  spec.jobs = {{.app = &app,
+                .policy = dynprof::Policy::kDynamic,
+                .nprocs = nprocs,
+                .problem_scale = scale,
+                .seed = spec.seed}};
   if (app.model != asci::AppSpec::Model::kOpenMP) {
-    options.machine = bench::machine_for_cpus(nprocs);
+    spec.machine = bench::machine_for_cpus(nprocs);
   }
-  dynprof::Launch launch(std::move(options));
-
-  dynprof::DynprofTool::Options topt;
-  topt.command_files = {{"subset.txt", app.dynamic_list}};
-  dynprof::DynprofTool tool(launch, std::move(topt));
-  tool.run_script(dynprof::parse_script("insert-file subset.txt\nstart\nquit\n"));
-  launch.engine().run();
-  return sim::to_seconds(tool.create_and_instrument_time());
+  return dynprof::run(spec).jobs.front().create_instrument_seconds;
 }
 
 }  // namespace

@@ -21,7 +21,7 @@
 
 #include "asci/app.hpp"
 #include "bench_common.hpp"
-#include "dynprof/policy.hpp"
+#include "dynprof/run.hpp"
 #include "sim/parallel_engine.hpp"
 #include "support/rng.hpp"
 
@@ -221,15 +221,15 @@ struct Fig7Cell {
 /// stats digests are the bit-identity witness across --sim-threads.
 Fig7Cell run_fig7a_cell(const asci::AppSpec& app, int ranks, double scale,
                         int sim_threads) {
-  dynprof::RunConfig config;
-  config.app = &app;
-  config.policy = dynprof::Policy::kFull;
-  config.nprocs = ranks;
-  config.problem_scale = scale;
-  config.seed = 42;
-  config.sim_threads = sim_threads;
+  dynprof::RunSpec spec;
+  spec.jobs = {{.app = &app,
+                .policy = dynprof::Policy::kFull,
+                .nprocs = ranks,
+                .problem_scale = scale,
+                .seed = 42}};
+  spec.sim_threads = sim_threads;
   const auto begin = std::chrono::steady_clock::now();
-  const dynprof::PolicyResult result = dynprof::run_policy(config);
+  const dynprof::JobResult result = dynprof::run(spec).jobs.front();
   Fig7Cell cell;
   cell.threads = sim_threads;
   cell.wall_s = seconds_since(begin);

@@ -58,19 +58,20 @@ struct CellResult {
 
 CellResult run_cell(const asci::AppSpec& app, double scale, telemetry::Level level,
                     int sim_threads) {
-  dynprof::RunConfig config;
-  config.app = &app;
-  config.policy = dynprof::Policy::kDynamic;
-  config.nprocs = 64;
-  config.problem_scale = scale;
-  config.sim_threads = sim_threads;
-  config.telemetry_level = level;
+  dynprof::RunSpec spec;
+  spec.jobs = {{.app = &app,
+                .policy = dynprof::Policy::kDynamic,
+                .nprocs = 64,
+                .problem_scale = scale,
+                .seed = spec.seed}};
+  spec.sim_threads = sim_threads;
+  spec.telemetry_level = level;
   CellResult result;
-  config.on_complete = [&](dynprof::Launch& launch) {
+  spec.on_complete = [&](dynprof::Launch& launch) {
     result.snapshot = launch.telemetry_registry().snapshot();
   };
   const double begin = cpu_seconds();
-  const dynprof::PolicyResult r = dynprof::run_policy(config);
+  const dynprof::JobResult r = dynprof::run(spec).jobs.front();
   result.cpu_s = cpu_seconds() - begin;
   result.trace_digest = r.trace_digest;
   result.stats_digest = r.stats_digest;
@@ -225,11 +226,12 @@ int main(int argc, char** argv) {
   // --- Part 3: the Perfetto artifact (adaptive run at spans level) ---------
   std::puts("\nPart 3: span export from one adaptive run (confsync + windows)\n");
   std::string spans_json;
-  dynprof::RunConfig adaptive;
-  adaptive.app = &app;
-  adaptive.policy = dynprof::Policy::kAdaptive;
-  adaptive.nprocs = 64;
-  adaptive.problem_scale = scale / 2;
+  dynprof::RunSpec adaptive;
+  adaptive.jobs = {{.app = &app,
+                    .policy = dynprof::Policy::kAdaptive,
+                    .nprocs = 64,
+                    .problem_scale = scale / 2,
+                    .seed = adaptive.seed}};
   adaptive.sim_threads = threads > 1 ? threads : 2;  // window spans need shards
   adaptive.telemetry_level = telemetry::Level::kSpans;
   std::size_t span_events = 0;
@@ -238,7 +240,7 @@ int main(int argc, char** argv) {
     spans_json = reg.chrome_trace_json();
     span_events = reg.span_event_count();
   };
-  const dynprof::PolicyResult spans_run = dynprof::run_policy(adaptive);
+  const dynprof::JobResult spans_run = dynprof::run(adaptive).jobs.front();
   {
     std::ofstream out(spans_path);
     out << spans_json;

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "dynprof/policy.hpp"
+#include "dynprof/run.hpp"
 #include "support/common.hpp"
 #include "vt/trace_codec_v2.hpp"
 #include "vt/trace_format.hpp"
@@ -291,15 +291,23 @@ int main(int argc, char** argv) {
   // --- the event stream: one smg98 Full cell, kept in memory ---------------
   std::fprintf(stderr, "simulating smg98 Full/%d at scale %.2f...\n",
                static_cast<int>(nprocs), scale);
-  dynprof::Launch::Options lopt;
-  lopt.app = &asci::smg98();
-  lopt.params.nprocs = static_cast<int>(nprocs);
-  lopt.params.problem_scale = scale;
-  lopt.policy = dynprof::Policy::kFull;
-  dynprof::Launch launch(std::move(lopt));
-  launch.run_to_completion();
-  const std::vector<vt::Event> events = launch.trace()->merged();
-  const std::uint64_t memory_digest = launch.trace()->digest();
+  const auto full_cell = [&](std::size_t spill_bytes) {
+    dynprof::RunSpec spec;
+    spec.jobs = {{.app = &asci::smg98(),
+                  .policy = dynprof::Policy::kFull,
+                  .nprocs = static_cast<int>(nprocs),
+                  .problem_scale = scale,
+                  .seed = spec.seed}};
+    spec.trace_spill_bytes = spill_bytes;
+    return spec;
+  };
+  std::vector<vt::Event> events;
+  dynprof::RunSpec memory_spec = full_cell(0);
+  memory_spec.on_complete = [&](dynprof::Launch& launch) {
+    events = launch.trace()->merged();
+  };
+  const dynprof::JobResult policy_memory = dynprof::run(memory_spec).jobs.front();
+  const std::uint64_t memory_digest = policy_memory.trace_digest;
   std::fprintf(stderr, "%zu events\n", events.size());
 
   // --- the same stream spilled: v2 shards and the fixed-record reference ----
@@ -363,17 +371,8 @@ int main(int argc, char** argv) {
 
   // --- fig7a digests: a spilled policy run vs the same run in memory --------
   std::fprintf(stderr, "policy runs for the statistics digest gate...\n");
-  const auto policy_cell = [&](std::size_t spill_bytes) {
-    dynprof::RunConfig config;
-    config.app = &asci::smg98();
-    config.policy = dynprof::Policy::kFull;
-    config.nprocs = static_cast<int>(nprocs);
-    config.problem_scale = scale;
-    config.trace_spill_bytes = spill_bytes;
-    return dynprof::run_policy(config);
-  };
-  const dynprof::PolicyResult policy_spilled = policy_cell(std::size_t{1} << 14);
-  const dynprof::PolicyResult policy_memory = policy_cell(0);
+  const dynprof::JobResult policy_spilled =
+      dynprof::run(full_cell(std::size_t{1} << 14)).jobs.front();
   const bool policy_identical = policy_spilled.trace_digest == policy_memory.trace_digest &&
                                 policy_spilled.stats_digest == policy_memory.stats_digest &&
                                 policy_spilled.app_seconds == policy_memory.app_seconds;

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "dynprof/multi_job.hpp"
+#include "dynprof/run.hpp"
 #include "replay/app.hpp"
 
 namespace {
@@ -30,50 +30,36 @@ std::string find_trace(const std::string& name) {
 struct ScenarioRun {
   int sim_threads = 1;
   double wall_s = 0;
-  dynprof::MultiJobResult result;
+  dynprof::RunResult result;
 };
 
 ScenarioRun run_scenario(int sim_threads, int ranks_per_job, double scale,
                          const replay::ReplayApp* replay_app) {
-  dynprof::MultiJobOptions options;
-  options.sim_threads = sim_threads;
-
-  dynprof::MultiJobOptions::Job front;
-  front.app = asci::find_app("sppm");
-  front.name = "front";
-  front.params.nprocs = ranks_per_job;
-  front.params.problem_scale = scale;
-  front.policy = dynprof::Policy::kDynamic;
-  front.first_node = 0;
-  front.first_cpu = 0;
-  options.jobs.push_back(front);
-
-  dynprof::MultiJobOptions::Job back;
-  back.app = asci::find_app("sweep3d");
-  back.name = "back";
-  back.params.nprocs = ranks_per_job;
-  back.params.problem_scale = scale;
-  back.policy = dynprof::Policy::kAdaptive;
-  back.first_node = 0;
-  back.first_cpu = 4;  // shares the front job's nodes
-  options.jobs.push_back(back);
-
+  dynprof::RunSpec spec;
+  spec.sim_threads = sim_threads;
+  spec.jobs = {{.app = asci::find_app("sppm"),
+                .name = "front",
+                .policy = dynprof::Policy::kDynamic,
+                .nprocs = ranks_per_job,
+                .problem_scale = scale},
+               {.app = asci::find_app("sweep3d"),
+                .name = "back",
+                .policy = dynprof::Policy::kAdaptive,
+                .nprocs = ranks_per_job,
+                .problem_scale = scale,
+                .first_cpu = 4}};  // shares the front job's nodes
   if (replay_app != nullptr) {
-    dynprof::MultiJobOptions::Job recorded;
-    recorded.app = &replay_app->spec();
-    recorded.name = "recorded";
-    recorded.params.nprocs = replay_app->spec().min_procs;
-    recorded.policy = dynprof::Policy::kDynamic;
-    recorded.first_node = (ranks_per_job + 3) / 4;  // above the shared span
-    recorded.first_cpu = 0;
-    options.jobs.push_back(recorded);
+    spec.jobs.push_back({.app = &replay_app->spec(),
+                         .name = "recorded",
+                         .policy = dynprof::Policy::kDynamic,
+                         .nprocs = replay_app->spec().min_procs,
+                         .first_node = (ranks_per_job + 3) / 4});  // above the shared span
   }
 
   ScenarioRun run;
   run.sim_threads = sim_threads;
   const auto start = std::chrono::steady_clock::now();
-  dynprof::MultiJobLaunch launch(std::move(options));
-  run.result = launch.run_to_completion();
+  run.result = dynprof::run(spec);
   run.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
                    .count();
   return run;

@@ -23,7 +23,7 @@
 #include <cstdio>
 
 #include "analysis/report.hpp"
-#include "dynprof/policy.hpp"
+#include "dynprof/run.hpp"
 #include "support/cli.hpp"
 
 using namespace dyntrace;
@@ -82,15 +82,16 @@ int main(int argc, char** argv) {
   try {
     if (!parser.parse(argc, argv)) return 0;
 
-    dynprof::RunConfig config;
-    config.app = &two_phase_app();
-    config.policy = dynprof::Policy::kAdaptive;
-    config.nprocs = static_cast<int>(cpus);
-    config.confsync_interval = 1;  // a safe point every step
-    config.tree_arity = 2;
-    config.controller.budget_fraction = budget;
-    config.controller.actuator = control::Actuator::kFilter;
-    const dynprof::PolicyResult result = dynprof::run_policy(config);
+    dynprof::RunSpec spec;
+    spec.jobs = {{.app = &two_phase_app(),
+                  .policy = dynprof::Policy::kAdaptive,
+                  .nprocs = static_cast<int>(cpus),
+                  .seed = spec.seed,
+                  .controller = {.budget_fraction = budget,
+                                 .actuator = control::Actuator::kFilter},
+                  .confsync_interval = 1,  // a safe point every step
+                  .tree_arity = 2}};
+    const dynprof::JobResult result = dynprof::run(spec).jobs.front();
 
     std::printf("two-phase app, %d ranks, budget %.0f%% (filter actuator)\n\n",
                 static_cast<int>(cpus), budget * 100);

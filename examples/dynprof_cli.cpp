@@ -23,8 +23,7 @@
 #include "analysis/profile.hpp"
 #include "analysis/report.hpp"
 #include "analysis/timeline.hpp"
-#include "dynprof/policy.hpp"
-#include "dynprof/tool.hpp"
+#include "dynprof/run.hpp"
 #include "fault/injector.hpp"
 #include "machine/spec.hpp"
 #include "replay/app.hpp"
@@ -104,44 +103,54 @@ struct OutputRequest {
   bool report = false;               ///< --report
 };
 
-/// Write every requested artifact of a finished run.  Both run paths (a
-/// static policy and the script-driven dynamic one) end here, so every
-/// output flag means the same thing under every --policy.
-void write_outputs(dynprof::Launch& launch, const asci::AppSpec& app,
-                   const OutputRequest& request) {
+/// Write every requested artifact of a finished run and return the text to
+/// print about them.  Every --policy ends here, so every output flag means
+/// the same thing under every policy.
+std::string write_outputs(dynprof::Launch& launch, const asci::AppSpec& app,
+                          const OutputRequest& request) {
   const vt::TraceStore& trace = *launch.trace();
+  std::string text;
   if (!request.trace_path.empty()) {
     trace.write(request.trace_path);
-    std::printf("trace (%zu events) written to %s\n", trace.size(),
-                request.trace_path.c_str());
+    text += str::format("trace (%zu events) written to %s\n", trace.size(),
+                        request.trace_path.c_str());
   }
   if (!request.trace_bin_path.empty()) {
     trace.write_binary(request.trace_bin_path);
-    std::printf("binary trace (%zu events) written to %s\n", trace.size(),
-                request.trace_bin_path.c_str());
+    text += str::format("binary trace (%zu events) written to %s\n", trace.size(),
+                        request.trace_bin_path.c_str());
   }
   const telemetry::Registry& registry = launch.telemetry_registry();
   if (!request.telemetry_stats_path.empty()) {
     std::ofstream out(request.telemetry_stats_path);
     out << registry.stats_json();
-    std::printf("telemetry stats written to %s (render: dynprof_cli report %s)\n",
-                request.telemetry_stats_path.c_str(), request.telemetry_stats_path.c_str());
+    text += str::format("telemetry stats written to %s (render: dynprof_cli report %s)\n",
+                        request.telemetry_stats_path.c_str(),
+                        request.telemetry_stats_path.c_str());
   }
   if (!request.telemetry_trace_path.empty()) {
     std::ofstream out(request.telemetry_trace_path);
     out << registry.chrome_trace_json();
-    std::printf("span trace (%zu event(s)) written to %s -- load it at "
-                "https://ui.perfetto.dev\n",
-                registry.span_event_count(), request.telemetry_trace_path.c_str());
+    text += str::format("span trace (%zu event(s)) written to %s -- load it at "
+                        "https://ui.perfetto.dev\n",
+                        registry.span_event_count(), request.telemetry_trace_path.c_str());
   }
   if (request.report) {
-    std::printf("\n%s", analysis::summary_report(trace, app.symbols.get()).c_str());
+    text += "\n" + analysis::summary_report(trace, app.symbols.get());
   } else {
     analysis::TraceAnalyzer analyzer(trace);
-    std::printf("\ntop functions:\n%s",
-                analyzer.top_functions_table(app.symbols.get(), 10).c_str());
+    text += "\ntop functions:\n" + analyzer.top_functions_table(app.symbols.get(), 10);
   }
-  if (request.timeline) std::printf("\n%s", analysis::render_timeline(trace).c_str());
+  if (request.timeline) text += "\n" + analysis::render_timeline(trace);
+  const auto salvage = trace.salvage_stats();
+  if (salvage.torn_shards > 0) {
+    text += str::format("trace salvage: %llu torn shard(s), %llu record(s) recovered, "
+                        "%llu lost\n",
+                        static_cast<unsigned long long>(salvage.torn_shards),
+                        static_cast<unsigned long long>(salvage.salvaged_records),
+                        static_cast<unsigned long long>(salvage.lost_records));
+  }
+  return text;
 }
 
 /// A target that names a trace file rather than a built-in kernel: any
@@ -248,136 +257,85 @@ int main(int argc, char** argv) {
     }
 
     const dynprof::Policy policy = dynprof::policy_from_string(policy_name);
+    const bool runs_tool = dynprof::runs_tool(policy);
     const telemetry::Level telemetry_level = telemetry::level_from_string(telemetry_level_name);
     DT_EXPECT(outputs.telemetry_trace_path.empty() ||
                   telemetry_level == telemetry::Level::kSpans,
               "--telemetry-trace needs --telemetry=spans");
+    DT_EXPECT(timefile_path.empty() || runs_tool, "--timefile needs a dynprof policy "
+              "(dynamic or adaptive); policy ", dynprof::to_string(policy), " runs no tool");
     DT_EXPECT(trace_spill_bytes >= 0, "--trace-spill-bytes must be >= 0");
 
-    std::string script_text;
+    dynprof::RunSpec spec;
+    dynprof::JobSpec job{.app = app,
+                         .policy = policy,
+                         .nprocs = static_cast<int>(cpus),
+                         .problem_scale = scale,
+                         .seed = spec.seed};
     if (policy == dynprof::Policy::kDynamic) {
-      if (!script_path.empty()) {
-        std::ifstream in(script_path);
-        DT_EXPECT(in.good(), "cannot open script '", script_path, "'");
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        script_text = ss.str();
-      } else {
+      if (script_path.empty()) {
         std::ostringstream ss;
         ss << std::cin.rdbuf();
-        script_text = ss.str();
+        job.script = ss.str();
+      } else {
+        job.script = slurp_file(script_path);
       }
+      DT_EXPECT(!dynprof::parse_script(job.script).empty(),
+                "empty command script (need at least 'start')");
     }
-
-
-    std::optional<machine::MachineSpec> machine_spec;
+    spec.jobs = {std::move(job)};
     if (!machine_profile.empty()) {
       if (machine_profile.size() > 4 &&
           machine_profile.substr(machine_profile.size() - 4) == ".ini") {
-        machine_spec = machine::spec_from_config(ConfigFile::load(machine_profile));
+        spec.machine = machine::spec_from_config(ConfigFile::load(machine_profile));
       } else {
-        machine_spec = machine::builtin_profile(machine_profile);
+        spec.machine = machine::builtin_profile(machine_profile);
       }
     }
-    std::shared_ptr<fault::FaultInjector> injector;
     if (!fault_plan_path.empty()) {
       fault::FaultPlan plan = fault::FaultPlan::load(fault_plan_path);
       if (fault_seed >= 0) plan.seed = static_cast<std::uint64_t>(fault_seed);
-      injector = std::make_shared<fault::FaultInjector>(std::move(plan));
+      spec.fault = std::make_shared<fault::FaultInjector>(std::move(plan));
     }
+    spec.sim_threads = static_cast<int>(sim_threads);
+    spec.telemetry_level = telemetry_level;
+    spec.trace_spill_bytes = static_cast<std::size_t>(trace_spill_bytes);
+    std::string artifacts;
+    spec.on_complete = [&](dynprof::Launch& launch) {
+      artifacts = write_outputs(launch, *app, outputs);
+    };
+    const dynprof::JobResult r = dynprof::run(spec).jobs.front();
 
-    if (policy != dynprof::Policy::kDynamic) {
-      DT_EXPECT(injector == nullptr,
-                "--fault-plan applies to the dynamic (script-driven) policy path");
-      dynprof::RunConfig config;
-      config.app = app;
-      config.policy = policy;
-      config.nprocs = static_cast<int>(cpus);
-      config.problem_scale = scale;
-      config.machine = machine_spec;
-      config.sim_threads = static_cast<int>(sim_threads);
-      config.telemetry_level = telemetry_level;
-      config.trace_spill_bytes = static_cast<std::size_t>(trace_spill_bytes);
-      config.on_complete = [&](dynprof::Launch& launch) {
-        write_outputs(launch, *app, outputs);
-      };
-      const dynprof::PolicyResult r = dynprof::run_policy(config);
-      std::printf("application '%s' under policy %s on %d cpu(s):\n", app->name.c_str(),
-                  dynprof::to_string(policy), r.nprocs);
-      std::printf("  main computation %.3f s (total %.3f s)\n", r.app_seconds,
-                  r.total_seconds);
-      if (r.create_instrument_seconds > 0) {
-        std::printf("  create+instrument time: %.3f s\n", r.create_instrument_seconds);
-      }
-      std::printf("  trace events: %llu (filtered %llu)\n",
-                  static_cast<unsigned long long>(r.trace_events),
-                  static_cast<unsigned long long>(r.filtered_events));
-      std::printf("  trace digest %016llx  stats digest %016llx\n",
-                  static_cast<unsigned long long>(r.trace_digest),
-                  static_cast<unsigned long long>(r.stats_digest));
-      return 0;
+    std::printf("application '%s' under policy %s on %d cpu(s):\n", app->name.c_str(),
+                dynprof::to_string(policy), r.nprocs);
+    std::printf("  main computation %.3f s (total %.3f s)\n", r.app_seconds,
+                r.total_seconds);
+    if (runs_tool) {
+      std::printf("  create+instrument time: %.3f s\n", r.create_instrument_seconds);
     }
-
-    const auto script = dynprof::parse_script(script_text);
-    DT_EXPECT(!script.empty(), "empty command script (need at least 'start')");
-
-    dynprof::Launch::Options options;
-    options.app = app;
-    options.params.nprocs = static_cast<int>(cpus);
-    options.params.problem_scale = scale;
-    options.policy = dynprof::Policy::kDynamic;  // dynprof drives an uninstrumented build
-    options.machine = machine_spec;
-    options.sim_threads = static_cast<int>(sim_threads);
-    options.fault = injector;
-    options.telemetry_level = telemetry_level;
-    options.trace_spill_bytes = static_cast<std::size_t>(trace_spill_bytes);
-    dynprof::Launch launch(std::move(options));
-
-    dynprof::DynprofTool::Options topt;
-    topt.command_files = {{"subset", app->dynamic_list}};
-    std::vector<std::string> all_functions;
-    for (const auto& fn : app->symbols->all()) {
-      if (fn.module != "libmpi" && fn.module != "libvt") all_functions.push_back(fn.name);
-    }
-    topt.command_files.emplace_back("all", std::move(all_functions));
-
-    dynprof::DynprofTool tool(launch, std::move(topt));
-    tool.run_script(script);
-    launch.run_engine();
-
-    std::printf("application '%s' finished at t=%.3f s (main computation %.3f s)\n",
-                app->name.c_str(), sim::to_seconds(launch.job().finish_time()),
-                sim::to_seconds(launch.job().finish_time() - launch.init_complete_time()));
-    std::printf("create+instrument time: %.3f s; %zu function(s) instrumented\n",
-                sim::to_seconds(tool.create_and_instrument_time()),
-                tool.instrumented_function_count());
-
-    if (injector != nullptr) {
-      if (injector->report().empty()) {
+    std::printf("  trace events: %llu (filtered %llu)\n",
+                static_cast<unsigned long long>(r.trace_events),
+                static_cast<unsigned long long>(r.filtered_events));
+    std::printf("  trace digest %016llx  stats digest %016llx\n",
+                static_cast<unsigned long long>(r.trace_digest),
+                static_cast<unsigned long long>(r.stats_digest));
+    if (spec.fault != nullptr) {
+      const fault::RunReport& report = spec.fault->report();
+      if (report.empty()) {
         std::printf("fault report: no faults fired\n");
       } else {
-        std::printf("fault report (%zu event(s)):\n%s", injector->report().size(),
-                    injector->report().render().c_str());
-      }
-      const auto salvage = launch.trace()->salvage_stats();
-      if (salvage.torn_shards > 0) {
-        std::printf("trace salvage: %llu torn shard(s), %llu record(s) recovered, "
-                    "%llu lost\n",
-                    static_cast<unsigned long long>(salvage.torn_shards),
-                    static_cast<unsigned long long>(salvage.salvaged_records),
-                    static_cast<unsigned long long>(salvage.lost_records));
+        std::printf("fault report (%zu event(s)):\n%s", report.size(),
+                    report.render().c_str());
       }
     }
-
     if (!timefile_path.empty()) {
       std::ofstream out(timefile_path);
-      out << tool.timefile_text();
+      out << r.timefile;
       std::printf("timefile written to %s\n", timefile_path.c_str());
-    } else {
-      std::printf("\n%s", tool.timefile_text().c_str());
+    } else if (runs_tool) {
+      std::printf("\n%s", r.timefile.c_str());
     }
-
-    write_outputs(launch, *app, outputs);
+    std::fputs(artifacts.c_str(), stdout);
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "dynprof_cli: %s\n", e.what());

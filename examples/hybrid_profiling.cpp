@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "dynprof/hybrid.hpp"
-#include "dynprof/policy.hpp"
+#include "dynprof/run.hpp"
 #include "support/cli.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
@@ -27,12 +27,13 @@ int main(int argc, char** argv) {
 
     // Reference points: Full static instrumentation and None.
     auto run_static = [&](dynprof::Policy policy) {
-      dynprof::RunConfig config;
-      config.app = &asci::sppm();
-      config.policy = policy;
-      config.nprocs = static_cast<int>(cpus);
-      config.problem_scale = scale;
-      return dynprof::run_policy(config);
+      dynprof::RunSpec spec;
+      spec.jobs = {{.app = &asci::sppm(),
+                    .policy = policy,
+                    .nprocs = static_cast<int>(cpus),
+                    .problem_scale = scale,
+                    .seed = spec.seed}};
+      return dynprof::run(spec).jobs.front();
     };
     const auto full = run_static(dynprof::Policy::kFull);
     const auto none = run_static(dynprof::Policy::kNone);

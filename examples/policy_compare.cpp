@@ -8,7 +8,7 @@
 //     $ ./policy_compare smg98 --cpus 16
 #include <cstdio>
 
-#include "dynprof/policy.hpp"
+#include "dynprof/run.hpp"
 #include "machine/spec.hpp"
 #include "support/cli.hpp"
 #include "support/config.hpp"
@@ -69,15 +69,16 @@ int main(int argc, char** argv) {
       if (policy != dynprof::Policy::kNone) order.push_back(policy);
     }
 
-    std::vector<std::pair<dynprof::Policy, dynprof::PolicyResult>> results;
+    std::vector<std::pair<dynprof::Policy, dynprof::JobResult>> results;
     for (const auto policy : order) {
-      dynprof::RunConfig config;
-      config.app = app;
-      config.policy = policy;
-      config.nprocs = static_cast<int>(cpus);
-      config.problem_scale = scale;
-      config.machine = machine_spec;
-      const auto result = dynprof::run_policy(config);
+      dynprof::RunSpec spec;
+      spec.jobs = {{.app = app,
+                    .policy = policy,
+                    .nprocs = static_cast<int>(cpus),
+                    .problem_scale = scale,
+                    .seed = spec.seed}};
+      spec.machine = machine_spec;
+      const auto result = dynprof::run(spec).jobs.front();
       if (policy == dynprof::Policy::kNone) none_seconds = result.app_seconds;
       results.emplace_back(policy, result);
       std::fprintf(stderr, ".");

@@ -11,8 +11,8 @@
 
 #include "analysis/profile.hpp"
 #include "analysis/timeline.hpp"
-#include "dynprof/policy.hpp"
-#include "dynprof/tool.hpp"
+#include "dynprof/run.hpp"
+#include "support/strings.hpp"
 
 using namespace dyntrace;
 
@@ -58,62 +58,48 @@ const asci::AppSpec& mini_app() {
   return spec;
 }
 
-double run_policy(dynprof::Policy policy, std::uint64_t* trace_events) {
-  dynprof::RunConfig config;
-  config.app = &mini_app();
-  config.policy = policy;
-  config.nprocs = 4;
-  const auto result = dynprof::run_policy(config);
-  if (trace_events != nullptr) *trace_events = result.trace_events;
-  return result.app_seconds;
-}
-
 }  // namespace
 
 int main() {
   // --- 2. Baseline: no subroutine instrumentation --------------------------
-  std::uint64_t none_events = 0;
-  const double none = run_policy(dynprof::Policy::kNone, &none_events);
-  std::printf("uninstrumented run:        %.3f s  (%llu trace events, MPI only)\n", none,
-              static_cast<unsigned long long>(none_events));
+  //
+  // A RunSpec lists the jobs to run on one simulated cluster; here, one.
+  dynprof::RunSpec spec;
+  spec.jobs = {{.app = &mini_app(), .policy = dynprof::Policy::kNone, .nprocs = 4,
+                .seed = spec.seed}};
+  const dynprof::JobResult none = dynprof::run(spec).jobs.front();
+  std::printf("uninstrumented run:        %.3f s  (%llu trace events, MPI only)\n",
+              none.app_seconds, static_cast<unsigned long long>(none.trace_events));
 
   // --- 3. dynprof: dynamic instrumentation of the hot function -------------
   //
-  // run_policy(kDynamic) drives the full paper workflow under the hood:
-  // poe-create (suspended), DPCL connect, the Figure-6 MPI_Init hook,
-  // deferred insertion of the requested probes, spin release, run.
-  std::uint64_t dyn_events = 0;
-  const double dynamic = run_policy(dynprof::Policy::kDynamic, &dyn_events);
-  std::printf("dynamically instrumented:  %.3f s  (%llu trace events)\n", dynamic,
-              static_cast<unsigned long long>(dyn_events));
-  std::printf("overhead: %.2f%%\n\n", 100.0 * (dynamic / none - 1.0));
+  // Under kDynamic, run() drives the full paper workflow: poe-create
+  // (suspended), DPCL connect, the Figure-6 MPI_Init hook, deferred
+  // insertion of the app's dynamic list, spin release, run.  The completion
+  // hook sees the finished job while its trace is still alive.
+  spec.jobs.front().policy = dynprof::Policy::kDynamic;
+  std::string postmortem;
+  spec.on_complete = [&](dynprof::Launch& launch) {
+    // VT statistics include the aggregated calls (the trace itself holds
+    // one representative enter/leave pair per aggregate batch).
+    const auto& stats = launch.vt(0).statistics();
+    const auto stencil = mini_app().symbols->find("stencil")->id;
+    postmortem = str::format(
+        "rank 0 VT statistics: stencil called %llu times, %.3f s inclusive\n\n",
+        static_cast<unsigned long long>(stats[stencil].calls),
+        sim::to_seconds(stats[stencil].inclusive));
+    analysis::TraceAnalyzer analyzer(*launch.trace());
+    postmortem += "top functions in the trace (aggregated over 4 ranks):\n" +
+                  analyzer.top_functions_table(mini_app().symbols.get(), 5) + "\n" +
+                  analysis::render_timeline(*launch.trace());
+  };
+  const dynprof::JobResult dynamic = dynprof::run(spec).jobs.front();
+  std::printf("dynamically instrumented:  %.3f s  (%llu trace events)\n",
+              dynamic.app_seconds, static_cast<unsigned long long>(dynamic.trace_events));
+  std::printf("overhead: %.2f%%\n\n", 100.0 * (dynamic.app_seconds / none.app_seconds - 1.0));
 
   // --- 4. Postmortem analysis (what the VGV GUI would display) -------------
-  dynprof::Launch::Options options;
-  options.app = &mini_app();
-  options.params.nprocs = 4;
-  options.policy = dynprof::Policy::kDynamic;
-  dynprof::Launch launch(std::move(options));
-  {
-    dynprof::DynprofTool::Options topt;
-    topt.command_files = {{"subset.txt", mini_app().dynamic_list}};
-    dynprof::DynprofTool tool(launch, std::move(topt));
-    tool.run_script(dynprof::parse_script("insert-file subset.txt\nstart\nquit\n"));
-    launch.engine().run();
-    std::printf("dynprof timefile:\n%s\n", tool.timefile_text().c_str());
-  }
-
-  // VT statistics include the aggregated calls (the trace itself holds one
-  // representative enter/leave pair per aggregate batch).
-  const auto& stats = launch.vt(0).statistics();
-  const auto stencil = mini_app().symbols->find("stencil")->id;
-  std::printf("rank 0 VT statistics: stencil called %llu times, %.3f s inclusive\n\n",
-              static_cast<unsigned long long>(stats[stencil].calls),
-              sim::to_seconds(stats[stencil].inclusive));
-
-  analysis::TraceAnalyzer analyzer(*launch.trace());
-  std::printf("top functions in the trace (aggregated over 4 ranks):\n%s\n",
-              analyzer.top_functions_table(mini_app().symbols.get(), 5).c_str());
-  std::printf("%s", analysis::render_timeline(*launch.trace()).c_str());
+  std::printf("dynprof timefile:\n%s\n", dynamic.timefile.c_str());
+  std::fputs(postmortem.c_str(), stdout);
   return 0;
 }

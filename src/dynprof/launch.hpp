@@ -85,16 +85,17 @@ class Launch {
     /// match this run by; defaults to the app name.  Multi-job scenarios
     /// give every job a unique name.
     std::string job_name;
-    /// Shared-substrate mode (multi-job runs; DESIGN.md §15): borrow an
-    /// existing engine + cluster instead of owning them.  Both must outlive
-    /// the Launch, and the caller is responsible for partitioning the
-    /// cluster over the union of all job spans *before* constructing any
-    /// Launch (processes bind their home engines at construction).  When
+    /// Shared-substrate mode (how dynprof::run builds every job; DESIGN.md
+    /// §15): borrow an existing engine + cluster instead of owning them.
+    /// Both must outlive the Launch, and the caller is responsible for
+    /// partitioning the cluster over the union of all job spans *before*
+    /// constructing any Launch (processes bind their home engines at
+    /// construction).  When
     /// set, `sim_threads` is ignored (the shared engine fixes it) and the
-    /// Launch does not re-partition.  Null = classic single-job mode.
+    /// Launch does not re-partition.  Null = the Launch owns both.
     sim::ParallelEngine* shared_engine = nullptr;
     machine::Cluster* shared_cluster = nullptr;
-    /// Shared telemetry registry for multi-job runs: the Launch then skips
+    /// Shared telemetry registry (shared-substrate mode): the Launch skips
     /// creating and installing its own, so all jobs' hooks land in the
     /// scenario-wide registry the caller installed.  Requires shared_engine.
     telemetry::Registry* shared_telemetry = nullptr;

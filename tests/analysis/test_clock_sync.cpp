@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/clock_sync.hpp"
-#include "dynprof/policy.hpp"
+#include "dynprof/launch.hpp"
 
 namespace dyntrace::analysis {
 namespace {
@@ -49,13 +49,8 @@ TEST(ClockSync, SyntheticTwoProcessOffsetRecovered) {
 }
 
 TEST(ClockSync, PerfectClocksNeedNoCorrection) {
-  dynprof::RunConfig config;
-  config.app = &asci::sweep3d();
-  config.policy = dynprof::Policy::kNone;
-  config.nprocs = 4;
-  config.problem_scale = 0.15;
   dynprof::Launch::Options options;
-  options.app = config.app;
+  options.app = &asci::sweep3d();
   options.params.nprocs = 4;
   options.params.problem_scale = 0.15;
   options.policy = dynprof::Policy::kNone;

@@ -2,7 +2,7 @@
 
 #include "analysis/report.hpp"
 
-#include "dynprof/policy.hpp"
+#include "dynprof/launch.hpp"
 
 namespace dyntrace::analysis {
 namespace {

@@ -1,7 +1,6 @@
 // Mixed MPI/OpenMP applications (the paper's headline use case, Figure 4).
 #include <gtest/gtest.h>
 
-#include "dynprof/policy.hpp"
 #include "dynprof/tool.hpp"
 
 namespace dyntrace::dynprof {

@@ -1,4 +1,4 @@
-// MultiJobLaunch: heterogeneous jobs sharing one simulated cluster
+// Multi-job runs: heterogeneous jobs sharing one simulated cluster
 // (DESIGN.md §15) -- shared-node tenancy, per-job tool sessions, job-scoped
 // fault verbs, and scenario-wide bit-identity across --sim-threads.
 #include <gtest/gtest.h>
@@ -6,7 +6,7 @@
 #include <fstream>
 #include <memory>
 
-#include "dynprof/multi_job.hpp"
+#include "dynprof/run.hpp"
 #include "fault/injector.hpp"
 #include "replay/app.hpp"
 
@@ -17,43 +17,36 @@ constexpr double kScale = 0.1;
 
 /// Two jobs sharing node 0: "front" (sppm, Dynamic) on CPUs 0-3, "back"
 /// (sweep3d, Adaptive) on CPUs 4-7 of the same nodes.
-MultiJobOptions two_job_options(int sim_threads, const std::string& plan_text = {}) {
-  MultiJobOptions options;
-  options.sim_threads = sim_threads;
+RunSpec two_job_spec(int sim_threads, const std::string& plan_text = {}) {
+  RunSpec spec;
+  spec.sim_threads = sim_threads;
   if (!plan_text.empty()) {
-    options.fault =
-        std::make_shared<fault::FaultInjector>(fault::FaultPlan::parse(plan_text));
+    spec.fault = std::make_shared<fault::FaultInjector>(fault::FaultPlan::parse(plan_text));
   }
-  MultiJobOptions::Job front;
-  front.app = asci::find_app("sppm");
-  front.name = "front";
-  front.params.nprocs = 4;
-  front.params.problem_scale = kScale;
-  front.policy = Policy::kDynamic;
-  front.first_node = 0;
-  front.first_cpu = 0;
-  MultiJobOptions::Job back;
-  back.app = asci::find_app("sweep3d");
-  back.name = "back";
-  back.params.nprocs = 4;
-  back.params.problem_scale = kScale;
-  back.policy = Policy::kAdaptive;
-  back.first_node = 0;
-  back.first_cpu = 4;
-  options.jobs = {front, back};
-  return options;
+  spec.jobs = {{.app = asci::find_app("sppm"),
+                .name = "front",
+                .policy = Policy::kDynamic,
+                .nprocs = 4,
+                .problem_scale = kScale},
+               {.app = asci::find_app("sweep3d"),
+                .name = "back",
+                .policy = Policy::kAdaptive,
+                .nprocs = 4,
+                .problem_scale = kScale,
+                .first_cpu = 4}};
+  return spec;
 }
 
 TEST(MultiJob, SharedNodeJobsCompleteAndReportPerJob) {
-  MultiJobLaunch launch(two_job_options(1));
+  RunSpec spec = two_job_spec(1);
   // Both jobs span node 0 (4 one-cpu ranks each fit its 8 cpus), so the
   // node carries two tenants and messages touching it pay the surcharge.
-  EXPECT_EQ(launch.cluster().node_tenants(0), 2);
-  EXPECT_EQ(launch.job_count(), 2u);
-  EXPECT_NE(launch.tool(0), nullptr);
-  EXPECT_NE(launch.tool(1), nullptr);
-
-  const MultiJobResult result = launch.run_to_completion();
+  std::vector<int> node0_tenants;
+  spec.on_complete = [&](Launch& launch) {
+    node0_tenants.push_back(launch.cluster().node_tenants(0));
+  };
+  const RunResult result = run(spec);
+  EXPECT_EQ(node0_tenants, (std::vector<int>{2, 2}));
   ASSERT_EQ(result.jobs.size(), 2u);
   EXPECT_EQ(result.jobs[0].job, "front");
   EXPECT_EQ(result.jobs[1].job, "back");
@@ -62,6 +55,7 @@ TEST(MultiJob, SharedNodeJobsCompleteAndReportPerJob) {
     EXPECT_GT(job.app_seconds, 0.0) << job.job;
     EXPECT_GT(job.trace_events, 0u) << job.job;
     EXPECT_GT(job.create_instrument_seconds, 0.0) << job.job;
+    EXPECT_FALSE(job.timefile.empty()) << job.job;  // each job ran its own tool
     EXPECT_TRUE(job.lost_ranks.empty()) << job.job;
   }
   EXPECT_NE(result.jobs[0].trace_digest, result.jobs[1].trace_digest);
@@ -69,10 +63,9 @@ TEST(MultiJob, SharedNodeJobsCompleteAndReportPerJob) {
 }
 
 TEST(MultiJob, ScenarioDigestIsBitIdenticalAcrossSimThreads) {
-  const MultiJobResult t1 = MultiJobLaunch(two_job_options(1)).run_to_completion();
+  const RunResult t1 = run(two_job_spec(1));
   for (const int threads : {2, 8}) {
-    const MultiJobResult tn =
-        MultiJobLaunch(two_job_options(threads)).run_to_completion();
+    const RunResult tn = run(two_job_spec(threads));
     EXPECT_EQ(t1.combined_digest, tn.combined_digest) << "sim-threads=" << threads;
     for (std::size_t j = 0; j < t1.jobs.size(); ++j) {
       EXPECT_EQ(t1.jobs[j].trace_digest, tn.jobs[j].trace_digest)
@@ -87,23 +80,19 @@ TEST(MultiJob, CrossJobFaultPlanScopesToTheNamedJob) {
   // kill-rank job=back names the Adaptive job's rank space: its stats
   // reduction loses rank 1 while the front job keeps every rank.
   const std::string plan = "seed 7\nkill-rank rank=1 at=0 job=back\n";
-  const MultiJobResult t1 =
-      MultiJobLaunch(two_job_options(1, plan)).run_to_completion();
+  const RunResult t1 = run(two_job_spec(1, plan));
   ASSERT_EQ(t1.jobs.size(), 2u);
   EXPECT_TRUE(t1.jobs[0].lost_ranks.empty());
   EXPECT_EQ(t1.jobs[1].lost_ranks, std::vector<int>{1});
   for (const int threads : {2, 8}) {
-    const MultiJobResult tn =
-        MultiJobLaunch(two_job_options(threads, plan)).run_to_completion();
+    const RunResult tn = run(two_job_spec(threads, plan));
     EXPECT_EQ(t1.combined_digest, tn.combined_digest) << "sim-threads=" << threads;
     EXPECT_EQ(tn.jobs[1].lost_ranks, std::vector<int>{1});
   }
 }
 
 TEST(MultiJob, UnscopedKillRankHitsEveryJobsRankSpace) {
-  const MultiJobResult r =
-      MultiJobLaunch(two_job_options(1, "seed 7\nkill-rank rank=1 at=0\n"))
-          .run_to_completion();
+  const RunResult r = run(two_job_spec(1, "seed 7\nkill-rank rank=1 at=0\n"));
   EXPECT_EQ(r.jobs[0].lost_ranks, std::vector<int>{1});
   EXPECT_EQ(r.jobs[1].lost_ranks, std::vector<int>{1});
 }
@@ -112,14 +101,12 @@ TEST(MultiJob, DegradedSharedNodeQuarantinesOnlyThatJobsTool) {
   // degrade-daemon is node-scoped and physical: node 0 hosts both jobs'
   // daemons.  Only the front job drives mid-run requests into it, so only
   // the front tool's breaker opens (quarantine), and nobody loses ranks.
-  MultiJobOptions options = two_job_options(1, "seed 17\ndegrade-daemon node=0 factor=200 from=0\n");
-  options.jobs[0].script =
-      "insert-file subset.txt\nstart\nwait 5\ninsert-file subset.txt\nquit\n";
-  MultiJobLaunch launch(std::move(options));
-  const MultiJobResult result = launch.run_to_completion();
+  RunSpec spec = two_job_spec(1, "seed 17\ndegrade-daemon node=0 factor=200 from=0\n");
+  spec.jobs[0].script = "insert-file subset\nstart\nwait 5\ninsert-file subset\nquit\n";
+  const RunResult result = run(spec);
   EXPECT_TRUE(result.jobs[0].lost_ranks.empty());
   EXPECT_TRUE(result.jobs[1].lost_ranks.empty());
-  EXPECT_GE(launch.tool(0)->degradations().size(), 1u);
+  EXPECT_GE(result.jobs[0].degradations.size(), 1u);
   EXPECT_GT(result.combined_digest, 0u);
 }
 
@@ -135,39 +122,33 @@ TEST(MultiJob, ReplayJobSharesTheClusterWithAKernelJob) {
   const auto replay_app = replay::load_app(trace_path);
 
   auto make = [&](int threads) {
-    MultiJobOptions options;
-    options.sim_threads = threads;
-    MultiJobOptions::Job recorded;
-    recorded.app = &replay_app->spec();
-    recorded.name = "recorded";
-    recorded.params.nprocs = replay_app->spec().min_procs;
-    recorded.policy = Policy::kDynamic;
-    recorded.first_node = 0;
-    recorded.first_cpu = 0;
-    MultiJobOptions::Job kernel;
-    kernel.app = asci::find_app("sppm");
-    kernel.name = "kernel";
-    kernel.params.nprocs = 4;
-    kernel.params.problem_scale = kScale;
-    kernel.policy = Policy::kNone;
-    kernel.first_node = 0;
-    kernel.first_cpu = 4;
-    options.jobs = {recorded, kernel};
-    return options;
+    RunSpec spec;
+    spec.sim_threads = threads;
+    spec.jobs = {{.app = &replay_app->spec(),
+                  .name = "recorded",
+                  .policy = Policy::kDynamic,
+                  .nprocs = replay_app->spec().min_procs},
+                 {.app = asci::find_app("sppm"),
+                  .name = "kernel",
+                  .policy = Policy::kNone,
+                  .nprocs = 4,
+                  .problem_scale = kScale,
+                  .first_cpu = 4}};
+    return spec;
   };
 
-  const MultiJobResult t1 = MultiJobLaunch(make(1)).run_to_completion();
+  const RunResult t1 = run(make(1));
   ASSERT_EQ(t1.jobs.size(), 2u);
   EXPECT_GT(t1.jobs[0].trace_events, 0u);
   EXPECT_GT(t1.jobs[1].trace_events, 0u);
-  const MultiJobResult t8 = MultiJobLaunch(make(8)).run_to_completion();
+  const RunResult t8 = run(make(8));
   EXPECT_EQ(t1.combined_digest, t8.combined_digest);
 }
 
 TEST(MultiJob, RejectsDuplicateJobNames) {
-  MultiJobOptions options = two_job_options(1);
-  options.jobs[1].name = "front";
-  EXPECT_THROW(MultiJobLaunch{std::move(options)}, Error);
+  RunSpec spec = two_job_spec(1);
+  spec.jobs[1].name = "front";
+  EXPECT_THROW(run(spec), Error);
 }
 
 }  // namespace

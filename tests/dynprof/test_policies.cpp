@@ -2,19 +2,16 @@
 // check the paper's qualitative results hold (Figure 7's orderings).
 #include <gtest/gtest.h>
 
-#include "dynprof/policy.hpp"
+#include "dynprof/run.hpp"
 
 namespace dyntrace::dynprof {
 namespace {
 
-PolicyResult run(const asci::AppSpec& app, Policy policy, int nprocs,
-                 double scale = 0.25) {
-  RunConfig config;
-  config.app = &app;
-  config.policy = policy;
-  config.nprocs = nprocs;
-  config.problem_scale = scale;
-  return run_policy(config);
+JobResult run(const asci::AppSpec& app, Policy policy, int nprocs, double scale = 0.25) {
+  RunSpec spec;
+  spec.jobs = {
+      {.app = &app, .policy = policy, .nprocs = nprocs, .problem_scale = scale, .seed = 42}};
+  return dynprof::run(spec).jobs.front();
 }
 
 TEST(Policies, NonePolicyRunsAndProducesMpiTraceOnly) {
@@ -105,11 +102,9 @@ TEST(Policies, WeakScalingSmg98TimeGrows) {
 }
 
 TEST(Policies, Sweep3dRejectsSingleProcess) {
-  RunConfig config;
-  config.app = &asci::sweep3d();
-  config.policy = Policy::kNone;
-  config.nprocs = 1;
-  EXPECT_THROW(run_policy(config), Error);
+  RunSpec spec;
+  spec.jobs = {{.app = &asci::sweep3d(), .policy = Policy::kNone, .nprocs = 1}};
+  EXPECT_THROW(dynprof::run(spec), Error);
 }
 
 TEST(Policies, DeterministicAcrossRuns) {

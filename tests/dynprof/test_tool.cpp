@@ -2,7 +2,7 @@
 // patching, and the timefile.
 #include <gtest/gtest.h>
 
-#include "dynprof/policy.hpp"
+#include "dynprof/tool.hpp"
 
 namespace dyntrace::dynprof {
 namespace {

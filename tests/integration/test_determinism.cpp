@@ -5,31 +5,23 @@
 // full dynprof pipeline.
 #include <gtest/gtest.h>
 
-#include "dynprof/policy.hpp"
-#include "dynprof/tool.hpp"
+#include <ostream>
+
+#include "dynprof/run.hpp"
 
 namespace dyntrace::dynprof {
 namespace {
 
 std::vector<vt::Event> run_trace(const asci::AppSpec& app, Policy policy, int nprocs,
                                  std::uint64_t seed) {
-  Launch::Options options;
-  options.app = &app;
-  options.params.nprocs = nprocs;
-  options.params.problem_scale = 0.15;
-  options.params.seed = seed;
-  options.policy = policy;
-  Launch launch(std::move(options));
-  if (policy == Policy::kDynamic) {
-    DynprofTool::Options topt;
-    topt.command_files = {{"s", app.dynamic_list}};
-    DynprofTool tool(launch, std::move(topt));
-    tool.run_script(parse_script("insert-file s\nstart\nquit\n"));
-    launch.engine().run();
-  } else {
-    launch.run_to_completion();
-  }
-  return launch.trace()->merged();
+  RunSpec spec;
+  spec.seed = seed;
+  spec.jobs = {
+      {.app = &app, .policy = policy, .nprocs = nprocs, .problem_scale = 0.15, .seed = seed}};
+  std::vector<vt::Event> trace;
+  spec.on_complete = [&](Launch& launch) { trace = launch.trace()->merged(); };
+  run(spec);
+  return trace;
 }
 
 bool traces_identical(const std::vector<vt::Event>& a, const std::vector<vt::Event>& b) {
@@ -49,6 +41,11 @@ struct DetCase {
   int nprocs;
 };
 
+// Names the case in test listings (app/policy/nprocs) instead of its raw bytes.
+void PrintTo(const DetCase& c, std::ostream* os) {
+  *os << c.app->name << "/" << to_string(c.policy) << "/" << c.nprocs;
+}
+
 class Determinism : public ::testing::TestWithParam<DetCase> {};
 
 TEST_P(Determinism, IdenticalTracesForIdenticalConfigs) {
@@ -66,8 +63,9 @@ INSTANTIATE_TEST_SUITE_P(
                       DetCase{&asci::sweep3d(), Policy::kDynamic, 4},
                       DetCase{&asci::umt98(), Policy::kFullOff, 4},
                       DetCase{&asci::umt98(), Policy::kDynamic, 2}),
-    [](const ::testing::TestParamInfo<DetCase>& info) {
-      std::string name = info.param.app->name + std::string("_") + to_string(info.param.policy);
+    [](const ::testing::TestParamInfo<DetCase>& param_info) {
+      const DetCase& p = param_info.param;
+      std::string name = p.app->name + std::string("_") + to_string(p.policy);
       for (char& c : name) {
         if (c == '-') c = '_';
       }

@@ -5,7 +5,7 @@
 
 #include <string>
 
-#include "dynprof/policy.hpp"
+#include "dynprof/run.hpp"
 #include "dynprof/tool.hpp"
 #include "mpi/world.hpp"
 #include "sim/parallel_engine.hpp"
@@ -13,19 +13,16 @@
 namespace dyntrace::dynprof {
 namespace {
 
-PolicyResult run_cell(const asci::AppSpec& app, Policy policy, int nprocs, int sim_threads,
-                      double scale) {
-  RunConfig config;
-  config.app = &app;
-  config.policy = policy;
-  config.nprocs = nprocs;
-  config.problem_scale = scale;
-  config.seed = 42;
-  config.sim_threads = sim_threads;
-  return run_policy(config);
+JobResult run_cell(const asci::AppSpec& app, Policy policy, int nprocs, int sim_threads,
+                   double scale) {
+  RunSpec spec;
+  spec.jobs = {
+      {.app = &app, .policy = policy, .nprocs = nprocs, .problem_scale = scale, .seed = 42}};
+  spec.sim_threads = sim_threads;
+  return run(spec).jobs.front();
 }
 
-void expect_identical(const PolicyResult& seq, const PolicyResult& par, int threads) {
+void expect_identical(const JobResult& seq, const JobResult& par, int threads) {
   const std::string label = "sim_threads=" + std::to_string(threads);
   EXPECT_EQ(seq.trace_digest, par.trace_digest) << label;
   EXPECT_EQ(seq.stats_digest, par.stats_digest) << label;
@@ -50,12 +47,12 @@ TEST(ParallelDeterminism, AdaptiveSmg98BitIdenticalAcrossSimThreads) {
   // The ISSUE's headline check: the full adaptive control plane -- dynamic
   // instrumentation, confsync safe points, the budget controller, and the
   // stats-reduction overlay -- at 64 ranks, sequential vs parallel.
-  const PolicyResult seq =
+  const JobResult seq =
       run_cell(asci::smg98(), Policy::kAdaptive, 64, /*sim_threads=*/1, 0.05);
   EXPECT_GT(seq.trace_events, 0u);
   EXPECT_GT(seq.confsyncs, 0u);
   for (const int threads : {2, 4, 8}) {
-    const PolicyResult par =
+    const JobResult par =
         run_cell(asci::smg98(), Policy::kAdaptive, 64, threads, 0.05);
     expect_identical(seq, par, threads);
   }
@@ -64,12 +61,12 @@ TEST(ParallelDeterminism, AdaptiveSmg98BitIdenticalAcrossSimThreads) {
 TEST(ParallelDeterminism, DynamicSweep3dBitIdenticalAcrossSimThreads) {
   // The dynprof tool path: POE create, DPCL daemons, the Figure-6 init
   // hook, insert-file, release -- all crossing shards.
-  const PolicyResult seq =
+  const JobResult seq =
       run_cell(asci::sweep3d(), Policy::kDynamic, 8, /*sim_threads=*/1, 0.15);
   EXPECT_GT(seq.trace_events, 0u);
   EXPECT_GT(seq.create_instrument_seconds, 0.0);
   for (const int threads : {2, 4}) {
-    const PolicyResult par =
+    const JobResult par =
         run_cell(asci::sweep3d(), Policy::kDynamic, 8, threads, 0.15);
     expect_identical(seq, par, threads);
   }
@@ -77,15 +74,15 @@ TEST(ParallelDeterminism, DynamicSweep3dBitIdenticalAcrossSimThreads) {
 
 TEST(ParallelDeterminism, StaticPoliciesBitIdenticalAcrossSimThreads) {
   for (const Policy policy : {Policy::kFull, Policy::kNone}) {
-    const PolicyResult seq = run_cell(asci::sppm(), policy, 16, 1, 0.1);
-    const PolicyResult par = run_cell(asci::sppm(), policy, 16, 4, 0.1);
+    const JobResult seq = run_cell(asci::sppm(), policy, 16, 1, 0.1);
+    const JobResult par = run_cell(asci::sppm(), policy, 16, 4, 0.1);
     expect_identical(seq, par, 4);
   }
 }
 
 TEST(ParallelDeterminism, MixedModeBitIdenticalAcrossSimThreads) {
-  const PolicyResult seq = run_cell(asci::umt98(), Policy::kFull, 4, 1, 0.2);
-  const PolicyResult par = run_cell(asci::umt98(), Policy::kFull, 4, 2, 0.2);
+  const JobResult seq = run_cell(asci::umt98(), Policy::kFull, 4, 1, 0.2);
+  const JobResult par = run_cell(asci::umt98(), Policy::kFull, 4, 2, 0.2);
   expect_identical(seq, par, 2);
 }
 

@@ -7,7 +7,7 @@
 #include <memory>
 #include <sstream>
 
-#include "dynprof/policy.hpp"
+#include "dynprof/run.hpp"
 #include "dynprof/tool.hpp"
 #include "fault/injector.hpp"
 #include "replay/app.hpp"
@@ -43,25 +43,23 @@ TEST(ReplayApp, WrapsTheTraceAsAPinnedAppSpec) {
   EXPECT_EQ(app->trace().skipped_events, 4u);  // one MPI_Comm_rank per rank
 }
 
-dynprof::PolicyResult run_ring(const asci::AppSpec& spec, dynprof::Policy policy,
-                               int sim_threads) {
-  dynprof::RunConfig config;
-  config.app = &spec;
-  config.policy = policy;
-  config.nprocs = spec.min_procs;
-  config.sim_threads = sim_threads;
-  return dynprof::run_policy(config);
+dynprof::JobResult run_ring(const asci::AppSpec& spec, dynprof::Policy policy,
+                            int sim_threads) {
+  dynprof::RunSpec run;
+  run.jobs = {{.app = &spec, .policy = policy, .nprocs = spec.min_procs, .seed = 42}};
+  run.sim_threads = sim_threads;
+  return dynprof::run(run).jobs.front();
 }
 
 class ReplayPolicies : public ::testing::TestWithParam<dynprof::Policy> {};
 
 TEST_P(ReplayPolicies, DigestsAreBitIdenticalAcrossSimThreads) {
   const auto app = load_ring();
-  const dynprof::PolicyResult t1 = run_ring(app->spec(), GetParam(), 1);
+  const dynprof::JobResult t1 = run_ring(app->spec(), GetParam(), 1);
   EXPECT_GT(t1.trace_digest, 0u);
   EXPECT_GT(t1.app_seconds, 0.0);
   for (const int threads : {2, 8}) {
-    const dynprof::PolicyResult tn = run_ring(app->spec(), GetParam(), threads);
+    const dynprof::JobResult tn = run_ring(app->spec(), GetParam(), threads);
     EXPECT_EQ(t1.trace_digest, tn.trace_digest) << "sim-threads=" << threads;
     EXPECT_EQ(t1.stats_digest, tn.stats_digest) << "sim-threads=" << threads;
     EXPECT_EQ(t1.trace_events, tn.trace_events) << "sim-threads=" << threads;
@@ -76,8 +74,8 @@ INSTANTIATE_TEST_SUITE_P(Policies, ReplayPolicies,
 
 TEST(ReplayApp, SubsetPolicySeesOnlyTheSubsetFunctions) {
   const auto app = load_ring();
-  const dynprof::PolicyResult full = run_ring(app->spec(), dynprof::Policy::kFull, 1);
-  const dynprof::PolicyResult subset =
+  const dynprof::JobResult full = run_ring(app->spec(), dynprof::Policy::kFull, 1);
+  const dynprof::JobResult subset =
       run_ring(app->spec(), dynprof::Policy::kSubset, 1);
   // ring_setup/ring_teardown are outside the subset directive.
   EXPECT_LT(subset.trace_events, full.trace_events);
@@ -144,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ReplayApp, PingpongSampleParsesAndRuns) {
   const auto app = load_app(sample_path("pingpong.trace"));
   EXPECT_EQ(app->spec().min_procs, 2);
-  const dynprof::PolicyResult r = run_ring(app->spec(), dynprof::Policy::kFull, 1);
+  const dynprof::JobResult r = run_ring(app->spec(), dynprof::Policy::kFull, 1);
   EXPECT_GT(r.trace_events, 0u);
   EXPECT_GT(r.app_seconds, 0.0);
 }

@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "dynprof/policy.hpp"
+#include "dynprof/run.hpp"
 #include "dynprof/tool.hpp"
 #include "fault/injector.hpp"
 #include "sim/engine.hpp"
@@ -378,17 +378,18 @@ TEST(TelemetryIntegration, CountersMatchAcrossSimThreadSweep) {
   std::vector<telemetry::Registry::Snapshot> snaps;
   std::vector<std::uint64_t> digests;
   for (const int threads : {1, 2, 4}) {
-    RunConfig config;
-    config.app = &asci::sweep3d();
-    config.policy = Policy::kDynamic;
-    config.nprocs = 8;
-    config.problem_scale = 0.15;
-    config.sim_threads = threads;
-    config.telemetry_level = telemetry::Level::kCounters;
-    config.on_complete = [&snaps](Launch& launch) {
+    RunSpec spec;
+    spec.jobs = {{.app = &asci::sweep3d(),
+                  .policy = Policy::kDynamic,
+                  .nprocs = 8,
+                  .problem_scale = 0.15,
+                  .seed = 42}};
+    spec.sim_threads = threads;
+    spec.telemetry_level = telemetry::Level::kCounters;
+    spec.on_complete = [&snaps](Launch& launch) {
       snaps.push_back(launch.telemetry_registry().snapshot());
     };
-    digests.push_back(run_policy(config).trace_digest);
+    digests.push_back(run(spec).jobs.front().trace_digest);
   }
   ASSERT_EQ(snaps.size(), 3u);
   EXPECT_GT(snaps[0].counter_value("dpcl.requests"), 0u);
@@ -410,17 +411,18 @@ TEST(TelemetryIntegration, SequentialRunObservesQueueDepth) {
   // A sequential run has no windows to observe sim.queue_depth at; its run
   // loop samples the queue so the metric is live on the default path.
   telemetry::Registry::Snapshot snap;
-  RunConfig config;
-  config.app = &asci::smg98();
-  config.policy = Policy::kFull;
-  config.nprocs = 64;
-  config.problem_scale = 0.05;
-  config.sim_threads = 1;
-  config.telemetry_level = telemetry::Level::kCounters;
-  config.on_complete = [&snap](Launch& launch) {
+  RunSpec spec;
+  spec.jobs = {{.app = &asci::smg98(),
+                .policy = Policy::kFull,
+                .nprocs = 64,
+                .problem_scale = 0.05,
+                .seed = 42}};
+  spec.sim_threads = 1;
+  spec.telemetry_level = telemetry::Level::kCounters;
+  spec.on_complete = [&snap](Launch& launch) {
     snap = launch.telemetry_registry().snapshot();
   };
-  run_policy(config);
+  run(spec);
   const auto it = std::find_if(snap.histograms.begin(), snap.histograms.end(),
                                [](const auto& h) { return h.name == "sim.queue_depth"; });
   ASSERT_NE(it, snap.histograms.end());
@@ -433,14 +435,15 @@ TEST(TelemetryIntegration, LevelsDoNotPerturbTheSimulation) {
   std::vector<std::uint64_t> digests;
   for (const telemetry::Level level :
        {telemetry::Level::kOff, telemetry::Level::kCounters, telemetry::Level::kSpans}) {
-    RunConfig config;
-    config.app = &asci::sppm();
-    config.policy = Policy::kDynamic;
-    config.nprocs = 4;
-    config.problem_scale = 0.2;
-    config.sim_threads = 2;
-    config.telemetry_level = level;
-    const PolicyResult r = run_policy(config);
+    RunSpec spec;
+    spec.jobs = {{.app = &asci::sppm(),
+                  .policy = Policy::kDynamic,
+                  .nprocs = 4,
+                  .problem_scale = 0.2,
+                  .seed = 42}};
+    spec.sim_threads = 2;
+    spec.telemetry_level = level;
+    const JobResult r = run(spec).jobs.front();
     digests.push_back(r.trace_digest);
     EXPECT_GT(r.trace_events, 0u);
   }
@@ -454,19 +457,21 @@ TEST(TelemetryIntegration, AdaptiveRunExportsAlignedConfsyncSpans) {
   // confsync round counter, alongside the engine's window spans.
   std::string trace_json;
   telemetry::Registry::Snapshot snap;
-  RunConfig config;
-  config.app = &asci::smg98();
-  config.policy = Policy::kAdaptive;
-  config.nprocs = 8;
-  config.problem_scale = 0.1;
-  config.sim_threads = 2;
-  config.telemetry_level = telemetry::Level::kSpans;
-  config.on_complete = [&](Launch& launch) {
+  constexpr int kRanks = 8;
+  RunSpec spec;
+  spec.jobs = {{.app = &asci::smg98(),
+                .policy = Policy::kAdaptive,
+                .nprocs = kRanks,
+                .problem_scale = 0.1,
+                .seed = 42}};
+  spec.sim_threads = 2;
+  spec.telemetry_level = telemetry::Level::kSpans;
+  spec.on_complete = [&](Launch& launch) {
     const telemetry::Registry& reg = launch.telemetry_registry();
     trace_json = reg.chrome_trace_json();
     snap = reg.snapshot();
   };
-  const PolicyResult r = run_policy(config);
+  const JobResult r = run(spec).jobs.front();
   EXPECT_GT(r.confsyncs, 0u);
 
   const JsonValue doc = parse_json(trace_json);
@@ -477,7 +482,7 @@ TEST(TelemetryIntegration, AdaptiveRunExportsAlignedConfsyncSpans) {
     const std::string& name = event.at("name").as_string();
     if (name == "confsync") {
       ++confsync_begins;
-      EXPECT_LT(event.at("tid").as_int(), config.nprocs);  // rank tracks
+      EXPECT_LT(event.at("tid").as_int(), kRanks);  // rank tracks
     }
     if (name == "window") {
       ++window_begins;
@@ -485,7 +490,7 @@ TEST(TelemetryIntegration, AdaptiveRunExportsAlignedConfsyncSpans) {
       // the pooled and the single-active-shard inline paths emit there.
       EXPECT_GE(event.at("tid").as_int(), telemetry::Metrics::kShardTrackBase);
       EXPECT_LT(event.at("tid").as_int(),
-                telemetry::Metrics::kShardTrackBase + config.sim_threads);
+                telemetry::Metrics::kShardTrackBase + spec.sim_threads);
     }
   }
   EXPECT_EQ(confsync_begins, snap.counter_value("control.confsync_rounds"));
