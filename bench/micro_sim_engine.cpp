@@ -3,13 +3,15 @@
 // unordered_map design it replaced, whole-engine events/sec for the
 // conservative parallel engine at 1/2/4/8 worker threads, and the
 // 512-rank fig7a cell (Smg98/Full) sequential vs sharded under the
-// channel-clock protocol.
+// window protocol.
 //
 // Emits BENCH_sim.json so the perf trajectory has a tracked artifact next
-// to BENCH_control.json.  Shape checks: >= 3x queue speedup on
-// schedule/pop, bit-identical parallel results at every thread count, and
-// (where the host has the cores) the committed 8-thread scaling floor on
-// the fig7a cell.
+// to BENCH_control.json.  Every multi-thread row records its window shape
+// (windows, fused windows, cross-shard deliveries) beside its wall time.
+// Shape checks: >= 1.5x queue speedup on schedule/pop and >= 3x on
+// schedule/cancel, bit-identical parallel results at every thread count, and
+// (where the host has the cores) the committed 8-thread scaling floor on the
+// fig7a cell.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -150,10 +152,36 @@ QueueRate schedule_cancel_rate(int window, int churn) {
   return rate;
 }
 
+/// A parallel run's window schedule: how many barrier rounds it paid for
+/// how much cross-shard traffic.
+struct WindowShape {
+  std::uint64_t windows = 0;
+  std::uint64_t fused_windows = 0;
+  std::uint64_t cross_deliveries = 0;
+};
+
+WindowShape window_shape(const sim::ParallelEngine& group) {
+  WindowShape shape{group.windows(), group.fused_windows(), 0};
+  for (int src = 0; src < group.shard_count(); ++src) {
+    for (int dst = 0; dst < group.shard_count(); ++dst) {
+      if (src != dst) shape.cross_deliveries += group.channel_deliveries(src, dst);
+    }
+  }
+  return shape;
+}
+
+/// The JSON fields of a multi-thread row's window shape.
+std::string window_fields(const WindowShape& shape) {
+  return ", \"windows\": " + std::to_string(shape.windows) +
+         ", \"fused_windows\": " + std::to_string(shape.fused_windows) +
+         ", \"cross_deliveries\": " + std::to_string(shape.cross_deliveries);
+}
+
 struct EngineRun {
   double wall_s = 0;
   std::uint64_t events = 0;
   std::uint64_t digest = 0;  ///< FNV-1a over every record, in node order
+  WindowShape shape;
 };
 
 /// The cross-shard ring workload of tests/sim/test_parallel_engine.cpp at
@@ -201,6 +229,7 @@ EngineRun run_ring(int nodes, int shards, int steps) {
   group.run();
   EngineRun run;
   run.wall_s = seconds_since(begin);
+  run.shape = window_shape(group);
   // One sleep event + one cross-shard delivery per (node, step).
   run.events = static_cast<std::uint64_t>(nodes) * static_cast<std::uint64_t>(steps) * 2;
   run.digest = 0xcbf29ce484222325ull;
@@ -214,7 +243,15 @@ struct Fig7Cell {
   double app_seconds = 0;
   std::uint64_t trace_digest = 0;
   std::uint64_t stats_digest = 0;
+  WindowShape shape;
 };
+
+/// The one bit-identity predicate for a fig7a cell against the sequential
+/// run, shared by the table, BENCH_sim.json and the shape check.
+bool same_result(const Fig7Cell& a, const Fig7Cell& b) {
+  return a.trace_digest == b.trace_digest && a.stats_digest == b.stats_digest &&
+         a.app_seconds == b.app_seconds;
+}
 
 /// One fig7a cell -- Smg98 under the Full policy -- at bench rank count,
 /// timed end to end (launch + instrument + run + merge).  The trace and
@@ -228,9 +265,12 @@ Fig7Cell run_fig7a_cell(const asci::AppSpec& app, int ranks, double scale,
                 .problem_scale = scale,
                 .seed = 42}};
   spec.sim_threads = sim_threads;
+  Fig7Cell cell;
+  spec.on_complete = [&cell](dynprof::Launch& launch) {
+    cell.shape = window_shape(launch.parallel_engine());
+  };
   const auto begin = std::chrono::steady_clock::now();
   const dynprof::JobResult result = dynprof::run(spec).jobs.front();
-  Fig7Cell cell;
   cell.threads = sim_threads;
   cell.wall_s = seconds_since(begin);
   cell.app_seconds = result.app_seconds;
@@ -335,9 +375,7 @@ int main(int argc, char** argv) {
   bool cells_identical = true;
   TextTable cell_table({"Threads", "Wall (s)", "Speedup", "Identical"});
   for (const auto& c : cells) {
-    const bool identical = c.trace_digest == cell_seq.trace_digest &&
-                           c.stats_digest == cell_seq.stats_digest &&
-                           c.app_seconds == cell_seq.app_seconds;
+    const bool identical = same_result(c, cell_seq);
     cells_identical = cells_identical && identical;
     cell_table.add_row({std::to_string(c.threads), TextTable::num(c.wall_s, 3),
                         TextTable::num(cell_seq.wall_s / c.wall_s, 2) + "x",
@@ -379,10 +417,11 @@ int main(int argc, char** argv) {
     const auto& p = points[i];
     std::fprintf(f,
                  "      {\"threads\": %d, \"wall_s\": %.4f, \"events_per_s\": %.0f, "
-                 "\"speedup\": %.3f, \"identical\": %s}%s\n",
+                 "\"speedup\": %.3f, \"identical\": %s%s}%s\n",
                  p.threads, p.run.wall_s,
                  static_cast<double>(p.run.events) / p.run.wall_s,
                  seq.wall_s / p.run.wall_s, p.run.digest == seq.digest ? "true" : "false",
+                 p.threads > 1 ? window_fields(p.run.shape).c_str() : "",
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f,
@@ -397,12 +436,10 @@ int main(int argc, char** argv) {
     const auto& c = cells[i];
     std::fprintf(f,
                  "      {\"threads\": %d, \"wall_s\": %.4f, \"speedup\": %.3f, "
-                 "\"identical\": %s}%s\n",
+                 "\"identical\": %s%s}%s\n",
                  c.threads, c.wall_s, cell_seq.wall_s / c.wall_s,
-                 c.trace_digest == cell_seq.trace_digest &&
-                         c.stats_digest == cell_seq.stats_digest
-                     ? "true"
-                     : "false",
+                 same_result(c, cell_seq) ? "true" : "false",
+                 c.threads > 1 ? window_fields(c.shape).c_str() : "",
                  i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n  }\n}\n");

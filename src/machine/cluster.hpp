@@ -4,18 +4,18 @@
 // nodes via place_block() and charges communication time via
 // message_delay().
 //
-// Sharding: a Cluster built over a sim::ParallelEngine maps every node to a
-// home shard via shard_for()/engine_for_node().  The default partition is
-// node modulo shard count; partition_nodes() re-partitions the active node
-// span into contiguous blocks so neighbouring nodes (which exchange the
-// bulk of block-placed rank traffic) share a shard.  Every ordered shard
-// pair gets a channel lookahead derived from the topology: the minimum
-// possible cross-node delay (after worst-case jitter) normally, or the
-// minimum intra-node delay for pairs co-resident on one node (only when a
-// partition explicitly splits a node's CPUs across shards).  Latency jitter
-// is a stateless hash of (seed, message identity) rather than a shared RNG
-// stream, so the delay of a message does not depend on the order other
-// shards draw noise.
+// Sharding: a Cluster built over a sim::ParallelEngine maps every node,
+// whole, to a home shard via shard_for()/engine_for_node().  The default
+// partition is node modulo shard count; partition_nodes() re-partitions the
+// active node span into contiguous blocks so neighbouring nodes (which
+// exchange the bulk of block-placed rank traffic) share a shard.  A node
+// never spans two shards, so every cross-shard message crosses nodes and
+// the group runs under one lookahead: the minimum possible cross-node delay
+// after worst-case jitter.  (Intra-node traffic -- OpenMP threads, DPCL
+// daemons calling same-node processes directly -- stays shard-local.)
+// Latency jitter is a stateless hash of (seed, message identity) rather than
+// a shared RNG stream, so the delay of a message does not depend on the
+// order other shards draw noise.
 #pragma once
 
 #include <atomic>
@@ -73,37 +73,22 @@ class Cluster {
   /// single-shard runs use this; simulated processes use engine_for_node().
   sim::Engine& engine() { return *coordinator_; }
 
-  /// The home engine of the given node (its CPU-0 shard).  Unless a
-  /// partition explicitly splits the node, all processes on one node share
-  /// a shard, so intra-node communication is always shard-local.
+  /// The home engine of the given node.  All processes on one node share a
+  /// shard, so intra-node communication is always shard-local.
   sim::Engine& engine_for_node(int node);
 
-  /// The home engine of a (node, cpu) slot; differs from engine_for_node()
-  /// only on nodes a partition split across shards.
-  sim::Engine& engine_for(int node, int cpu);
-
-  /// Shard owning the given (node, cpu) slot under the current partition
-  /// (0 for a single-engine cluster).
-  int shard_for(int node, int cpu = 0) const;
+  /// Shard owning the given node under the current partition (0 for a
+  /// single-engine cluster).
+  int shard_for(int node) const;
 
   /// Re-partition: the first `nodes_in_use` nodes (the span placement
   /// actually touched, plus the tool node) are divided into contiguous
   /// blocks across the group's shards, so neighbour-heavy rank traffic
   /// stays shard-local; nodes above the span fall back to round-robin.
-  /// With more shards than active nodes the extra shards idle unless
-  /// `allow_node_split` is set, in which case each node's CPU range is
-  /// split across its shards -- co-resident pairs then run under the
-  /// (smaller) intra-node channel lookahead.  Splitting requires an
-  /// intra-node latency big enough to survive worst-case jitter, and is
-  /// only safe for workloads whose cross-process interactions all go
-  /// through deliver_at (the DPCL daemons call into same-node processes
-  /// directly).  Must be called before processes bind their engines.
-  /// Reinstalls the channel-lookahead matrix on the group.
-  void partition_nodes(int nodes_in_use, bool allow_node_split = false);
-
-  /// The channel lookahead installed for the ordered shard pair, i.e. the
-  /// topology-derived lower bound on src -> dst message latency.
-  sim::TimeNs shard_pair_lookahead(int src_shard, int dst_shard) const;
+  /// With more shards than active nodes each active node gets its own shard
+  /// and the surplus shards idle.  Must be called before processes bind
+  /// their engines.
+  void partition_nodes(int nodes_in_use);
 
   /// The owning shard group, or null for a classic single-engine cluster.
   sim::ParallelEngine* engine_group() { return group_; }
@@ -140,14 +125,8 @@ class Cluster {
 
   /// A lower bound on every possible cross-node message_delay() result:
   /// the zero-byte transfer time scaled by the worst-case downward jitter,
-  /// minus one ns of slack.  This is the default channel lookahead.
+  /// minus one ns of slack.  This is the shard group's lookahead.
   sim::TimeNs min_cross_node_delay() const;
-
-  /// The intra-node analogue, used as the channel lookahead between shards
-  /// co-resident on a split node.  May be <= 0 for machines whose
-  /// intra-node latency is too small to survive worst-case jitter; such
-  /// machines cannot split nodes (partition_nodes rejects it).
-  sim::TimeNs min_intra_node_delay() const;
 
   /// Messages accounted so far (for tests and trace statistics).  Counters
   /// are atomic: shards charge messages concurrently.
@@ -159,20 +138,13 @@ class Cluster {
   }
 
  private:
-  /// Derive and install the per-pair channel lookaheads for the current
-  /// partition on the shard group.
-  void install_lookahead();
-
   sim::Engine* coordinator_;
   sim::ParallelEngine* group_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
   MachineSpec spec_;
   std::uint64_t noise_seed_;
-  /// Current node -> shard partition (sharded clusters only): the shard of
-  /// a node's CPU 0, and how many consecutive shards share the node (1
-  /// except on explicitly split nodes).
-  std::vector<int> node_base_;
-  std::vector<int> node_split_;
+  /// Current node -> shard partition (sharded clusters only).
+  std::vector<int> node_shard_;
   /// Registered jobs and the per-node tenant counts they imply.  Written
   /// only at setup time (register_job), read-only while engines run, so the
   /// contention surcharge is a pure function of message identity.

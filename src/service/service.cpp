@@ -44,16 +44,15 @@ struct ControlService::BreakAgent {
     int client_node = 0;
     std::vector<std::uint8_t> match;  ///< per-function-id membership
     DeltaSink sink;
-    /// Remaining delivery credits (sub_window > 0); a window arriving with
-    /// none left is dropped-and-counted, never buffered.
+    /// Remaining delivery credits; a window arriving with none left is
+    /// dropped-and-counted, never buffered.
     int credits = 0;
     std::uint64_t dropped = 0;
   };
   std::vector<Subscription> subs;  ///< kept in session-id order
 
-  /// Slow-subscriber bounds (from ServiceOptions; sub_window 0 = legacy
-  /// unbounded fan-out).
-  int sub_window = 0;
+  /// Slow-subscriber bounds (from ServiceOptions).
+  int sub_window = 1;
   sim::TimeNs sub_stall = 0;
 
   /// Seq counter for the service's own (kServiceSession) programs, so
@@ -100,7 +99,7 @@ struct ControlService::BreakAgent {
       telemetry::Registry& reg = telemetry::current();
       fault::FaultInjector* injector = cluster.fault_injector();
       for (Subscription& sub : subs) {
-        if (sub_window > 0 && sub.credits <= 0) {
+        if (sub.credits <= 0) {
           ++sub.dropped;
           ++window_drops;
           reg.add(reg.metrics().service_sub_drops);
@@ -122,23 +121,21 @@ struct ControlService::BreakAgent {
             .deliver_at(now + delay, [sink, delta] { sink(delta); });
         reg.add(reg.metrics().service_sub_deliveries);
         reg.add(reg.metrics().service_sub_events, delta.pairs);
-        if (sub_window > 0) {
-          --sub.credits;
-          // The whole return path is priced here, on the agent's shard:
-          // delivery leg, client processing (stall-fault scaled), ack leg.
-          sim::TimeNs processing = sub_stall;
-          if (injector != nullptr && processing > 0) {
-            processing = static_cast<sim::TimeNs>(static_cast<double>(processing) *
-                                                  injector->stall_factor(sub.client_node, now));
-          }
-          const sim::TimeNs back =
-              cluster.message_delay(sub.client_node, node, 16, now + delay + processing);
-          BreakAgent* self = this;
-          const SessionId session = sub.session;
-          cluster.engine_for_node(node).deliver_at(
-              now + delay + processing + back,
-              [self, session] { self->return_credit(session); });
+        --sub.credits;
+        // The whole return path is priced here, on the agent's shard:
+        // delivery leg, client processing (stall-fault scaled), ack leg.
+        sim::TimeNs processing = sub_stall;
+        if (injector != nullptr && processing > 0) {
+          processing = static_cast<sim::TimeNs>(static_cast<double>(processing) *
+                                                injector->stall_factor(sub.client_node, now));
         }
+        const sim::TimeNs back =
+            cluster.message_delay(sub.client_node, node, 16, now + delay + processing);
+        BreakAgent* self = this;
+        const SessionId session = sub.session;
+        cluster.engine_for_node(node).deliver_at(
+            now + delay + processing + back,
+            [self, session] { self->return_credit(session); });
       }
     }
 
@@ -211,6 +208,8 @@ ControlService::ControlService(dynprof::Launch& launch, dynprof::DynprofTool& to
       admission_(symbols_, control::probe_pair_price(launch.vt(0)),
                  AdmissionOptions{options.budget_fraction, options.default_rate_hz}),
       patch_ready_(std::make_unique<sim::Condition>(engine_)) {
+  DT_EXPECT(options.sub_window >= 1, "ServiceOptions::sub_window must be >= 1, got ",
+            options.sub_window);
   agent_ = std::make_unique<BreakAgent>(*this, cluster_, launch.staged(), agent_node_, node_);
   agent_->sub_window = options.sub_window;
   agent_->sub_stall = options.sub_client_stall;

@@ -80,14 +80,13 @@ void Engine::deliver_at(TimeNs at, EventQueue::Callback cb) {
   DT_ASSERT(cur != nullptr,
             "cross-shard deliver_at from outside any engine during a parallel run");
   // Send-side conservative check: the delivery must clear the sender's
-  // channel lookahead to this shard, or a concurrent window here may have
-  // already executed past it.  (Faults only stretch delays, never shrink
-  // them, so this holds under injection too.)
-  DT_ASSERT(at >= cur->now_ + group_->channel_lookahead(cur->shard_, shard_),
-            "conservative channel bound violated: shard ", cur->shard_, " at t=",
-            cur->now_, " delivering to shard ", shard_, " at t=", at,
-            " under channel lookahead ",
-            group_->channel_lookahead(cur->shard_, shard_));
+  // clock by the lookahead, or a concurrent window here may have already
+  // executed past it.  (Faults only stretch delays, never shrink them, so
+  // this holds under injection too.)
+  DT_ASSERT(at >= cur->now_ + group_->lookahead(),
+            "conservative bound violated: shard ", cur->shard_, " at t=", cur->now_,
+            " delivering to shard ", shard_, " at t=", at, " under lookahead ",
+            group_->lookahead());
   std::lock_guard<std::mutex> lock(inbox_mutex_);
   // cross_seq_ belongs to the *sender*: exactly one thread executes a
   // shard's window, so the increment is single-writer.

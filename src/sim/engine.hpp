@@ -64,9 +64,9 @@ class Engine {
   /// plain schedule; from a sibling shard mid-run the event is queued in a
   /// thread-safe inbox and merged at the next window boundary, ordered by
   /// (at, sender shard, sender sequence).  Cross-shard deliveries must obey
-  /// the conservative bound: `at` must be >= sender now + the sender->this
-  /// channel lookahead (checked at send, and against the receiver clock
-  /// when the inbox drains).
+  /// the conservative bound: `at` must be >= sender now + the group's
+  /// lookahead (checked at send, and against the receiver clock when the
+  /// inbox drains).
   void deliver_at(TimeNs at, EventQueue::Callback cb);
 
   /// Resume a coroutine at the current time (after already-scheduled events

@@ -52,8 +52,6 @@ ParallelEngine::ParallelEngine(Options options) : lookahead_(options.lookahead) 
     engine->shard_ = i;
     shards_.push_back(std::move(engine));
   }
-  const auto n = static_cast<std::size_t>(options.shards);
-  channels_.assign(n * n, options.lookahead);
   spin_ = std::thread::hardware_concurrency() > 1;
 }
 
@@ -73,70 +71,7 @@ const Engine& ParallelEngine::shard(int index) const {
 
 void ParallelEngine::set_lookahead(TimeNs lookahead) {
   DT_EXPECT(lookahead >= 0, "negative lookahead");
-  std::fill(channels_.begin(), channels_.end(), lookahead);
   lookahead_ = lookahead;
-  closure_dirty_ = true;
-}
-
-void ParallelEngine::set_channel_lookahead(int src, int dst, TimeNs lookahead) {
-  DT_EXPECT(lookahead >= 0, "negative channel lookahead");
-  DT_EXPECT(src >= 0 && src < shard_count() && dst >= 0 && dst < shard_count(),
-            "channel (", src, " -> ", dst, ") out of range (", shard_count(), " shards)");
-  DT_EXPECT(src != dst, "channel ", src, " -> ", dst,
-            " is same-shard delivery, not a channel");
-  const std::size_t n = shards_.size();
-  channels_[static_cast<std::size_t>(src) * n + static_cast<std::size_t>(dst)] = lookahead;
-  // Keep the scalar minimum coherent eagerly: callers read lookahead()
-  // before run() ever rebuilds the closure.
-  lookahead_ = kNoEvent;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i != j) lookahead_ = std::min(lookahead_, channels_[i * n + j]);
-    }
-  }
-  closure_dirty_ = true;
-}
-
-TimeNs ParallelEngine::channel_lookahead(int src, int dst) const {
-  DT_ASSERT(src >= 0 && src < shard_count() && dst >= 0 && dst < shard_count(),
-            "channel (", src, " -> ", dst, ") out of range (", shard_count(), " shards)");
-  if (src == dst) return 0;
-  const std::size_t n = shards_.size();
-  return channels_[static_cast<std::size_t>(src) * n + static_cast<std::size_t>(dst)];
-}
-
-void ParallelEngine::ensure_closure() {
-  if (!closure_dirty_) return;
-  const std::size_t n = shards_.size();
-  lookahead_ = kNoEvent;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      DT_EXPECT(channels_[i * n + j] > 0, "ParallelEngine::run with ", n,
-                " shards requires a positive lookahead on every channel; channel ", i,
-                " -> ", j, " is ", channels_[i * n + j],
-                " (machine::Cluster installs the machine-derived values)");
-      lookahead_ = std::min(lookahead_, channels_[i * n + j]);
-    }
-  }
-  closure_ = channels_;
-  // Min-plus Floyd-Warshall over walks of >= 1 hop: seeding the diagonal
-  // with "never" (rather than the trivial empty path) makes closure_[i][i]
-  // the cheapest round-trip through a sibling -- the earliest one of shard
-  // i's own sends can be reflected back at it.  The off-diagonal entries
-  // matter too: an installed channel need not obey the triangle inequality,
-  // and a two-hop relay that undercuts the direct channel would otherwise
-  // break the conservative bound.
-  for (std::size_t i = 0; i < n; ++i) closure_[i * n + i] = kNoEvent;
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        closure_[i * n + j] = std::min(
-            closure_[i * n + j], sat_add(closure_[i * n + k], closure_[k * n + j]));
-      }
-    }
-  }
-  closure_dirty_ = false;
 }
 
 std::uint64_t ParallelEngine::events_executed() const {
@@ -316,7 +251,6 @@ void ParallelEngine::run(TimeNs deadline) {
   DT_EXPECT(lookahead_ > 0,
             "ParallelEngine::run with ", shard_count(),
             " shards requires a positive lookahead (set by machine::Cluster)");
-  ensure_closure();
 
   parallel_phase_.store(true, std::memory_order_release);
   struct PhaseReset {
@@ -344,11 +278,19 @@ void ParallelEngine::run(TimeNs deadline) {
 
     bool failed = false;
     TimeNs min_next = kNoEvent;
+    TimeNs second = kNoEvent;  ///< smallest next() of every shard but `leader`
+    std::size_t leader = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (shards_[i]->failure_) failed = true;
       const auto at = shards_[i]->queue_.next_time();
       next[i] = at ? *at : kNoEvent;
-      min_next = std::min(min_next, next[i]);
+      if (next[i] < min_next) {
+        second = min_next;
+        min_next = next[i];
+        leader = i;
+      } else {
+        second = std::min(second, next[i]);
+      }
     }
     if (failed) rethrow_earliest_failure();
     if (min_next == kNoEvent) break;  // every queue drained
@@ -357,19 +299,18 @@ void ParallelEngine::run(TimeNs deadline) {
       return;  // stopped at deadline, fine
     }
 
-    // Per-shard channel-clock bounds (see the header): B(i) = min over
-    // shards k of next(k) + D+(k, i).  A deadline caps every bound so no
-    // event past it executes.  A bound beyond the classic global window
-    // (min_next + min lookahead) is a fused window: the shard runs what
-    // would have been several global rounds without re-synchronising.
+    // Per-shard bounds (see the header): B(i) = min(next(i) + 2L, the
+    // smallest next() of the other shards + L).  A deadline caps every
+    // bound so no event past it executes.  A bound beyond the classic
+    // global window (min_next + L) is a fused window: the leader runs past
+    // it without another coordinator round.
     const TimeNs classic = sat_add(min_next, lookahead_);
+    const TimeNs round_trip = sat_add(lookahead_, lookahead_);
     active.clear();
     std::uint64_t fused = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      TimeNs bound = kNoEvent;
-      for (std::size_t k = 0; k < n; ++k) {
-        bound = std::min(bound, sat_add(next[k], closure_[k * n + i]));
-      }
+      const TimeNs others = i == leader ? second : min_next;
+      TimeNs bound = std::min(sat_add(next[i], round_trip), sat_add(others, lookahead_));
       if (deadline >= 0 && bound > deadline + 1) bound = deadline + 1;
       bounds[i] = bound;
       if (next[i] < bound) {
@@ -377,9 +318,9 @@ void ParallelEngine::run(TimeNs deadline) {
         if (bound > classic) ++fused;
       }
     }
-    // The shard holding min_next always clears its own bound (every closure
-    // entry is positive), so each round executes at least one event.
-    DT_ASSERT(!active.empty(), "channel-clock round made no progress");
+    // The leader always clears its own bound (L > 0), so each round
+    // executes at least one event.
+    DT_ASSERT(!active.empty(), "window round made no progress");
     ++windows_;
     if (fused > 0) ++fused_windows_;
     if (reg.counting()) {

@@ -1,4 +1,4 @@
-// Conservative parallel discrete-event simulation (channel-clock YAWNS).
+// Conservative parallel discrete-event simulation (YAWNS with per-shard bounds).
 //
 // A ParallelEngine owns N shard Engines and a worker-thread pool.  Each
 // simulated process has a home shard (the proc layer maps node -> shard)
@@ -6,29 +6,28 @@
 // through Engine::deliver_at, which enqueues into the receiver's foreign
 // inbox mid-window.
 //
-// Every ordered shard pair (i, j) carries a channel lookahead L(i, j) > 0: a
-// lower bound on the virtual latency of any message i sends to j (derived
-// from the machine topology -- intra-node latency when the shards share a
-// node, link latency otherwise).  Let D+(k, i) be the min-plus transitive
-// closure of L over paths of >= 1 hop, so D+(i, i) is the cheapest
-// round-trip through any sibling.  The run loop repeats three steps:
+// Every cross-shard message carries at least one lookahead L > 0 of virtual
+// latency (machine::Cluster installs the machine's cross-node floor: every
+// shard pair is a pair of distinct nodes).  A message i sends reaches any
+// other shard after >= L, and the cheapest way for it to come back to i is
+// a reflection through a sibling, >= 2L.  The run loop repeats three steps:
 //   1. drain: merge every shard's foreign inbox into its event queue,
 //      ordered by the deterministic (time, sender shard, sender seq) key;
 //   2. bound: each shard i gets its own window bound
-//          B(i) = min over shards k of next(k) + D+(k, i)
+//          B(i) = min(next(i) + 2L, min over k != i of next(k) + L)
 //      where next(k) is shard k's next event time (empty queues contribute
-//      nothing).  The k = i term matters: a message i sends this window can
-//      be reflected back by an otherwise-idle sibling, so i may only run to
-//      its own cheapest round-trip.
+//      nothing).  The inner minimum is the second-smallest next() for the
+//      shard holding the smallest, and the smallest for every other shard.
 //   3. window: every shard with next(i) < B(i) executes its events with
 //      t < B(i) concurrently.
-// Step 3 is safe because any event shard k executes does so at t >= next(k),
-// and whatever it sends (directly or via intermediaries) reaches shard i no
-// earlier than next(k) + D+(k, i) >= B(i) -- always a later window.  The
+// Step 3 is safe: every event shard k executes has t >= next(k), so what it
+// sends reaches a sibling no earlier than next(k) + L, and what a sibling
+// reflects back to k in a later window no earlier than next(k) + 2L.  Both
+// are >= the receiver's bound, so no arrival lands in an executed past.  The
 // shard holding the global minimum always has next < B, so every round makes
-// progress.  Shards far ahead of (or far behind) their neighbours get bounds
-// past the classic global window min_next + min L: they run fused windows
-// without re-synchronising at the coordinator (counted by fused_windows()).
+// progress.  Only a shard holding a strict minimum can run past the classic
+// global window min_next + L (its bound is min(min_next + 2L, second + L));
+// such a round is a fused window, counted by fused_windows().
 // Determinism: shard-local order is the sequential (time, seq) order, and
 // cross-shard deliveries are merged by a key independent of thread timing,
 // so outputs are bit-identical run to run and thread-count to thread-count.
@@ -55,9 +54,9 @@ class ParallelEngine {
   struct Options {
     /// Number of shard engines (and worker threads when > 1).
     int shards = 1;
-    /// Uniform channel lookahead in virtual ns, installed on every ordered
-    /// shard pair.  Every channel must be > 0 before run() when shards > 1
-    /// (machine::Cluster derives and installs the per-pair values).
+    /// Lookahead in virtual ns: a lower bound on the latency of every
+    /// cross-shard message.  Must be > 0 before run() when shards > 1
+    /// (machine::Cluster installs the machine-derived value).
     TimeNs lookahead = 0;
   };
 
@@ -71,17 +70,9 @@ class ParallelEngine {
   Engine& shard(int index);
   const Engine& shard(int index) const;
 
-  /// The minimum channel lookahead over all ordered shard pairs.
+  /// The lower bound on every cross-shard message's virtual latency.
   TimeNs lookahead() const { return lookahead_; }
-  /// Install `lookahead` on every ordered shard pair.
   void set_lookahead(TimeNs lookahead);
-
-  /// Install the lookahead of the directed channel src -> dst: a lower
-  /// bound on the virtual latency of any message src sends to dst.
-  void set_channel_lookahead(int src, int dst, TimeNs lookahead);
-  /// The installed lookahead of the directed channel src -> dst (0 when
-  /// src == dst: same-shard delivery is not a channel).
-  TimeNs channel_lookahead(int src, int dst) const;
 
   /// True while worker windows may be executing concurrently; deliver_at
   /// uses this to decide between direct scheduling and the inbox.
@@ -101,8 +92,8 @@ class ParallelEngine {
   std::uint64_t events_executed() const;   ///< summed over shards
   std::size_t processes_alive() const;     ///< summed over shards
   std::uint64_t windows() const { return windows_; }
-  /// Coordinator rounds where at least one shard's channel-clock bound ran
-  /// past the classic global window (min_next + min lookahead).
+  /// Coordinator rounds where at least one shard's bound ran past the
+  /// classic global window (min_next + lookahead).
   std::uint64_t fused_windows() const { return fused_windows_; }
   /// Cross-shard deliveries drained into shard `dst` from shard `src`.
   std::uint64_t channel_deliveries(int src, int dst) const;
@@ -116,9 +107,6 @@ class ParallelEngine {
   /// true if the completion barrier actually waited on a worker.
   bool dispatch_window(const std::vector<std::size_t>& active,
                        const std::vector<TimeNs>& bounds);
-  /// Recompute the min-plus closure of the channel matrix (and the scalar
-  /// lookahead_ minimum) if a channel changed.  Validates every channel > 0.
-  void ensure_closure();
   /// Deadline stop point: drain every inbox, check nothing at or before the
   /// deadline is still pending, and advance every shard clock to it so a
   /// later run() resumes exactly where a sequential run would.
@@ -126,14 +114,7 @@ class ParallelEngine {
   [[noreturn]] void rethrow_earliest_failure();
 
   std::vector<std::unique_ptr<Engine>> shards_;
-  /// Channel lookaheads, channels_[src * shards + dst]; diagonal unused.
-  std::vector<TimeNs> channels_;
-  /// Min-plus closure of channels_ over paths of >= 1 hop; the diagonal is
-  /// the cheapest round-trip through any sibling.  Rebuilt by run() when a
-  /// channel changed.
-  std::vector<TimeNs> closure_;
-  bool closure_dirty_ = true;
-  TimeNs lookahead_ = 0;  ///< min over off-diagonal channels_
+  TimeNs lookahead_ = 0;
   std::atomic<bool> parallel_phase_{false};
   std::uint64_t windows_ = 0;
   std::uint64_t fused_windows_ = 0;

@@ -37,6 +37,15 @@ RunSpec two_job_spec(int sim_threads, const std::string& plan_text = {}) {
   return spec;
 }
 
+/// The same shape with a control plane that runs: "back" is smg98, which
+/// offers safe points (sweep3d offers none), so its Adaptive controller
+/// sees confsyncs and the statistics reduction a job-scoped kill reaches.
+RunSpec control_plane_spec(const std::string& plan_text = {}) {
+  RunSpec spec = two_job_spec(1, plan_text);
+  spec.jobs[1].app = asci::find_app("smg98");
+  return spec;
+}
+
 TEST(MultiJob, SharedNodeJobsCompleteAndReportPerJob) {
   RunSpec spec = two_job_spec(1);
   // Both jobs span node 0 (4 one-cpu ranks each fit its 8 cpus), so the
@@ -89,6 +98,33 @@ TEST(MultiJob, CrossJobFaultPlanScopesToTheNamedJob) {
     EXPECT_EQ(t1.combined_digest, tn.combined_digest) << "sim-threads=" << threads;
     EXPECT_EQ(tn.jobs[1].lost_ranks, std::vector<int>{1});
   }
+}
+
+TEST(MultiJob, AdaptiveJobOnASharedNodeRunsItsControlPlane) {
+  const RunResult r = run(control_plane_spec());
+  ASSERT_EQ(r.jobs.size(), 2u);
+  EXPECT_EQ(r.jobs[0].confsyncs, 0u);  // Dynamic: no safe points
+  EXPECT_GT(r.jobs[1].confsyncs, 0u);
+  EXPECT_FALSE(r.jobs[1].decisions.decisions.empty());
+}
+
+TEST(MultiJob, ScopedKillChangesOnlyTheNamedJobsRun) {
+  // Both runs carry an injector, so both reduce through the fault-tolerant
+  // overlay path and differ only by the kill.  The kill re-parents back's
+  // statistics reduction around rank 1, which retimes back's safe points
+  // and so its trace.  Rank 0's own statistics table (the stats digest)
+  // does not carry the reduced records, so it is no witness here.  The
+  // front job shares node 0 but none of back's ranks or reduction, and its
+  // run is untouched.
+  const RunResult healthy = run(control_plane_spec("seed 7\n"));
+  const RunResult killed = run(control_plane_spec("seed 7\nkill-rank rank=1 at=0 job=back\n"));
+  ASSERT_EQ(killed.jobs.size(), 2u);
+  EXPECT_TRUE(killed.jobs[0].lost_ranks.empty());
+  EXPECT_EQ(killed.jobs[1].lost_ranks, std::vector<int>{1});
+  EXPECT_GT(killed.jobs[1].confsyncs, 0u);
+  EXPECT_NE(healthy.jobs[1].trace_digest, killed.jobs[1].trace_digest);
+  EXPECT_EQ(healthy.jobs[0].trace_digest, killed.jobs[0].trace_digest);
+  EXPECT_EQ(healthy.jobs[0].stats_digest, killed.jobs[0].stats_digest);
 }
 
 TEST(MultiJob, UnscopedKillRankHitsEveryJobsRankSpace) {

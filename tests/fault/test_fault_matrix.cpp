@@ -75,7 +75,7 @@ MatrixResult run_cell(const std::string& app_name, const std::string& plan_text,
 
 /// Run one cell at --sim-threads 1, 2, and 8 and require identical
 /// outcomes (the determinism half of the acceptance bar), returning the
-/// t=1 result.  The 8-thread column exercises the channel-clock window
+/// t=1 result.  The 8-thread column exercises the parallel window
 /// protocol -- many shards, most idle per window -- under injected faults.
 MatrixResult run_cell_deterministically(const std::string& app_name,
                                         const std::string& plan_text,

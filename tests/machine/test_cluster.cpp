@@ -211,59 +211,30 @@ TEST(Cluster, BlockPartitionKeepsNeighbourNodesTogether) {
     prev = shard;
   }
   EXPECT_EQ(cluster.shard_for(8), 7);
-  // Every pair is cross-node, so every channel carries the cross-node bound.
-  for (int src = 0; src < 8; ++src) {
-    for (int dst = 0; dst < 8; ++dst) {
-      if (src != dst) {
-        EXPECT_EQ(cluster.shard_pair_lookahead(src, dst), cluster.min_cross_node_delay());
-      }
-    }
-  }
+  // Every shard pair is cross-node, so the group runs under the cross-node
+  // bound.
+  EXPECT_EQ(group.lookahead(), cluster.min_cross_node_delay());
 }
 
 TEST(Cluster, PartitionWithMoreShardsThanNodesIdlesTheSurplus) {
   sim::ParallelEngine group(8);
   Cluster cluster(group, ibm_power3_sp());
-  cluster.partition_nodes(3);  // no split: one node per shard
+  cluster.partition_nodes(3);  // one node per shard
   EXPECT_EQ(cluster.shard_for(0), 0);
   EXPECT_EQ(cluster.shard_for(1), 1);
   EXPECT_EQ(cluster.shard_for(2), 2);
-  EXPECT_EQ(cluster.shard_for(0, /*cpu=*/7), 0);  // whole node on one shard
+  EXPECT_EQ(&cluster.engine_for_node(2), &group.shard(2));
 }
 
-TEST(Cluster, SplitNodesGetIntraNodeChannelLookahead) {
-  sim::ParallelEngine group(4);
-  Cluster cluster(group, ibm_power3_sp());
-  // One active node, four shards, splitting allowed: the node's 8 CPUs are
-  // divided into four consecutive 2-CPU runs.
-  cluster.partition_nodes(1, /*allow_node_split=*/true);
-  EXPECT_EQ(cluster.shard_for(0, 0), 0);
-  EXPECT_EQ(cluster.shard_for(0, 1), 0);
-  EXPECT_EQ(cluster.shard_for(0, 2), 1);
-  EXPECT_EQ(cluster.shard_for(0, 7), 3);
-  EXPECT_EQ(&cluster.engine_for(0, 7), &group.shard(3));
-  // Co-resident pairs run under the (tighter) intra-node bound...
-  ASSERT_GT(cluster.min_intra_node_delay(), 0);
-  EXPECT_EQ(cluster.shard_pair_lookahead(0, 3), cluster.min_intra_node_delay());
-  EXPECT_LT(cluster.shard_pair_lookahead(0, 3), cluster.min_cross_node_delay());
-  // ...and it really is a lower bound on intra-node message delays.
-  for (sim::TimeNs now = 0; now < 2000; ++now) {
-    EXPECT_GT(cluster.message_delay(0, 0, 0, now), cluster.min_intra_node_delay());
-  }
-}
-
-TEST(Cluster, ZeroIntraLatencyMachineRefusesNodeSplits) {
+TEST(Cluster, ZeroIntraLatencyMachinePartitionsByNode) {
   MachineSpec spec = ibm_power3_sp();
   spec.intra_latency = 0;
-  {
-    sim::ParallelEngine group(4);
-    Cluster cluster(group, spec);
-    // A zero intra-node latency cannot bound any positive lookahead: the
-    // split is rejected, but node-granular partitions stay fully usable.
-    EXPECT_THROW(cluster.partition_nodes(2, /*allow_node_split=*/true), Error);
-    EXPECT_NO_THROW(cluster.partition_nodes(2));
-    EXPECT_GT(group.lookahead(), 0);
-  }
+  sim::ParallelEngine group(4);
+  Cluster cluster(group, spec);
+  // Intra-node traffic never crosses shards, so a zero intra-node latency
+  // leaves node-granular partitions and the cross-node lookahead usable.
+  EXPECT_NO_THROW(cluster.partition_nodes(2));
+  EXPECT_GT(group.lookahead(), 0);
 }
 
 }  // namespace

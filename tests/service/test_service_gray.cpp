@@ -5,6 +5,8 @@
 // fault-matrix gray column.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fault/injector.hpp"
 #include "service/scenario.hpp"
 
@@ -203,6 +205,24 @@ TEST(ServiceGray, SlowSubscriberDropsDeltasInsteadOfBuffering) {
   EXPECT_GE(result.sessions[0].deltas, 1u);
   EXPECT_GE(result.sub_drops, 1u);
   EXPECT_EQ(count(result, Status::kTimeout), 0u);
+}
+
+TEST(ServiceGray, ZeroSubscriptionWindowIsRejected) {
+  // A subscriber with no credits could never receive a delta; the service
+  // refuses the configuration instead of silently fanning out unbounded.
+  ScenarioOptions options;
+  options.ranks = 4;
+  options.functions = 8;
+  options.sessions = 1;
+  options.service.sub_window = 0;
+  try {
+    run_scenario(options);
+    FAIL() << "sub_window = 0 was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("sub_window must be >= 1, got 0"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServiceGray, BatchedDriversRunEverySessionToCompletion) {
