@@ -26,6 +26,12 @@ const FunctionInfo& SymbolTable::at(FunctionId id) const {
 
 std::vector<FunctionId> SymbolTable::match(std::string_view glob) const {
   std::vector<FunctionId> out;
+  // A pattern without wildcards (glob_match has no escapes) matches only
+  // the name itself, and names are unique.
+  if (glob.find_first_of("*?") == std::string_view::npos) {
+    if (const FunctionInfo* info = find(glob)) out.push_back(info->id);
+    return out;
+  }
   for (const auto& f : functions_) {
     if (str::glob_match(glob, f.name)) out.push_back(f.id);
   }

@@ -37,8 +37,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "control/pricing.hpp"
@@ -91,8 +91,10 @@ class AdmissionController {
                       control::PairPrice pair_price, AdmissionOptions options);
 
   /// Price and decide one session's requested probe set.  Mutates holder
-  /// counts and filter intent on admit/degrade; a denial changes nothing.
-  /// Repeat grants to one session merge (functions are held once).
+  /// counts and filter intent on admit/degrade; a denial changes nothing and
+  /// allocates nothing, so a queued request can be retried at the cost of
+  /// its own size.  Repeat grants to one session merge (functions are held
+  /// once).
   AdmitResult admit(SessionId session, const std::vector<image::FunctionId>& fns);
 
   /// Drop every grant the session holds.
@@ -117,6 +119,9 @@ class AdmissionController {
   void replay(const vt::FilterProgram& applied);
 
   /// Priced per-process overhead fraction of everything installed.
+  /// Memoized: every change to a function's holders, filter state or rate
+  /// marks the sum stale, and the next call re-sums it in id order, so the
+  /// value is the same double an unmemoized sum would give.
   double priced_fraction() const;
 
   bool installed(image::FunctionId fn) const;
@@ -146,8 +151,15 @@ class AdmissionController {
   AdmissionOptions options_;
   std::vector<FnState> fns_;
   std::uint64_t rate_updates_ignored_ = 0;
-  /// Ordered by session id so release-driven removals are deterministic.
-  std::map<SessionId, std::vector<image::FunctionId>> grants_;
+  /// Functions each session holds.  Unordered: only arbitrate() walks it,
+  /// and it sorts the session ids first.
+  std::unordered_map<SessionId, std::vector<image::FunctionId>> grants_;
+  /// priced_fraction()'s memo; priced_stale_ is set by every mutation of fns_.
+  mutable double priced_ = 0.0;
+  mutable bool priced_stale_ = true;
+  /// admit()'s reused working lists (deduplicated request, not-yet-held).
+  std::vector<image::FunctionId> unique_;
+  std::vector<image::FunctionId> fresh_;
 };
 
 }  // namespace dyntrace::service

@@ -246,7 +246,7 @@ void ControlService::submit(Request request) {
       respond(request, Status::kOk);
       return;
     case CommandKind::kInstrument:
-      handle_instrument(request, /*from_queue=*/false);
+      handle_instrument(request);
       return;
     case CommandKind::kConfsync:
       handle_confsync(request);
@@ -273,41 +273,20 @@ void ControlService::submit(Request request) {
 int ControlService::session_load(SessionId session) const {
   int load = 0;
   for (const QueuedAdmit& entry : queue_) {
-    if (entry.request.session == session) ++load;
+    if (entry.session == session) ++load;
   }
   const auto it = patch_pending_.find(session);
   if (it != patch_pending_.end()) load += it->second;
   return load;
 }
 
-/// Attempt one admission.  Returns false iff the request was denied and may
-/// wait in the queue (nothing responded); any other outcome is resolved.
-bool ControlService::try_admit(const Request& request, bool allow_queue,
+bool ControlService::try_admit(SessionId session, std::uint32_t seq,
+                               const std::vector<image::FunctionId>& fns,
                                sim::TimeNs deadline) {
+  const AdmitResult result = admission_.admit(session, fns);
+  if (result.decision == AdmitDecision::kDenied) return false;
+
   telemetry::Registry& reg = telemetry::current();
-  std::vector<image::FunctionId> fns;
-  fns.reserve(request.functions.size());
-  for (const std::string& name : request.functions) {
-    const image::FunctionInfo* info = symbols_->find(name);
-    if (info == nullptr) {
-      respond(request, Status::kError);
-      return true;
-    }
-    fns.push_back(info->id);
-  }
-  if (fns.empty()) {
-    respond(request, Status::kError);
-    return true;
-  }
-
-  const AdmitResult result = admission_.admit(request.session, fns);
-  if (result.decision == AdmitDecision::kDenied) {
-    if (allow_queue) return false;
-    reg.add(reg.metrics().service_denials);
-    respond(request, Status::kDenied, result.projected_fraction);
-    return true;
-  }
-
   const Status status = result.decision == AdmitDecision::kAdmitted ? Status::kAdmitted
                                                                     : Status::kDegraded;
   reg.add(status == Status::kAdmitted ? reg.metrics().service_admits
@@ -319,20 +298,20 @@ bool ControlService::try_admit(const Request& request, bool allow_queue,
     for (const image::FunctionId fn : result.install) {
       op.install.push_back(symbols_->at(fn).name);
     }
-    op.response.session = request.session;
-    op.response.seq = request.seq;
+    op.response.session = session;
+    op.response.seq = seq;
     op.response.status = status;
     op.response.projected_fraction = result.projected_fraction;
     op.deadline = deadline;
     enqueue_patch(std::move(op));
   } else {
     // Every requested probe is already installed for another session.
-    respond(request, status, result.projected_fraction);
+    respond(session, seq, status, result.projected_fraction);
   }
   return true;
 }
 
-void ControlService::handle_instrument(const Request& request, bool from_queue) {
+void ControlService::handle_instrument(const Request& request) {
   if (shutting_down_) {
     respond(request, Status::kShutdown);
     return;
@@ -341,26 +320,45 @@ void ControlService::handle_instrument(const Request& request, bool from_queue) 
   // Per-session overload bound: a session with this many commands already
   // deferred (queued or patching) gets an immediate, deterministic kShed
   // instead of growing the backlog.
-  if (!from_queue && options_.max_session_inflight > 0 &&
+  if (options_.max_session_inflight > 0 &&
       session_load(request.session) >= options_.max_session_inflight) {
     ++shed_commands_;
     reg.add(reg.metrics().service_shed_commands);
     respond(request, Status::kShed);
     return;
   }
-  const sim::TimeNs deadline =
-      options_.request_deadline > 0 ? engine_.now() + options_.request_deadline : 0;
-  const bool allow_queue = !from_queue && options_.queue_timeout > 0;
-  if (!try_admit(request, allow_queue, deadline)) {
-    if (options_.max_queue_depth > 0 && queue_.size() >= options_.max_queue_depth) {
-      ++shed_commands_;
-      reg.add(reg.metrics().service_shed_commands);
-      respond(request, Status::kShed, admission_.priced_fraction());
+  // Resolve the names once; a queued request is retried by id.
+  std::vector<image::FunctionId> fns;
+  fns.reserve(request.functions.size());
+  for (const std::string& name : request.functions) {
+    const image::FunctionInfo* info = symbols_->find(name);
+    if (info == nullptr) {
+      respond(request, Status::kError);
       return;
     }
-    reg.add(reg.metrics().service_queued);
-    queue_.push_back(QueuedAdmit{request, engine_.now(), deadline});
+    fns.push_back(info->id);
   }
+  if (fns.empty()) {
+    respond(request, Status::kError);
+    return;
+  }
+  const sim::TimeNs deadline =
+      options_.request_deadline > 0 ? engine_.now() + options_.request_deadline : 0;
+  if (try_admit(request.session, request.seq, fns, deadline)) return;
+  if (options_.queue_timeout <= 0) {
+    reg.add(reg.metrics().service_denials);
+    respond(request, Status::kDenied, admission_.priced_fraction());
+    return;
+  }
+  if (options_.max_queue_depth > 0 && queue_.size() >= options_.max_queue_depth) {
+    ++shed_commands_;
+    reg.add(reg.metrics().service_shed_commands);
+    respond(request, Status::kShed, admission_.priced_fraction());
+    return;
+  }
+  reg.add(reg.metrics().service_queued);
+  queue_.push_back(QueuedAdmit{request.session, request.seq, std::move(fns), engine_.now(),
+                               deadline});
 }
 
 void ControlService::handle_confsync(const Request& request) {
@@ -482,39 +480,40 @@ void ControlService::on_window(const WindowReport& report) {
 }
 
 void ControlService::retry_queue() {
-  if (queue_.empty()) return;
-  std::deque<QueuedAdmit> keep;
-  while (!queue_.empty()) {
-    QueuedAdmit entry = std::move(queue_.front());
-    queue_.pop_front();
-    if (shutting_down_) {
-      respond(entry.request, Status::kShutdown);
-      continue;
-    }
+  // One FIFO pass, compacting survivors in place.  Nothing reached from here
+  // can append to queue_ or re-enter this pass: responses, patches and
+  // directives all leave through deliver_at or Engine::post, and only
+  // submit() queues.  Shutdown empties the queue and stops it refilling.
+  const std::size_t queued = queue_.size();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < queued; ++i) {
+    QueuedAdmit& entry = queue_[i];
     // End-to-end deadline: a request still waiting past it is canceled
     // before it can consume budget -- the client has long stopped caring.
     if (entry.deadline > 0 && engine_.now() >= entry.deadline) {
       ++deadline_cancels_;
       telemetry::Registry& reg = telemetry::current();
       reg.add(reg.metrics().service_deadline_cancels);
-      respond(entry.request, Status::kCanceled, admission_.priced_fraction());
+      respond(entry.session, entry.seq, Status::kCanceled, admission_.priced_fraction());
       continue;
     }
-    if (try_admit(entry.request, /*allow_queue=*/true, entry.deadline)) continue;
+    if (try_admit(entry.session, entry.seq, entry.fns, entry.deadline)) continue;
     if (engine_.now() - entry.enqueued >= options_.queue_timeout) {
       telemetry::Registry& reg = telemetry::current();
       reg.add(reg.metrics().service_denials);
-      respond(entry.request, Status::kDenied, admission_.priced_fraction());
+      respond(entry.session, entry.seq, Status::kDenied, admission_.priced_fraction());
     } else {
-      keep.push_back(std::move(entry));
+      if (kept != i) queue_[kept] = std::move(entry);
+      ++kept;
     }
   }
-  queue_.swap(keep);
+  DT_ASSERT(queue_.size() == queued, "admission queue grew during a retry pass");
+  queue_.resize(kept);
 }
 
 void ControlService::initiate_shutdown(const std::string& sentinel_function) {
   shutting_down_ = true;
-  for (const QueuedAdmit& entry : queue_) respond(entry.request, Status::kShutdown);
+  for (const QueuedAdmit& entry : queue_) respond(entry.session, entry.seq, Status::kShutdown);
   queue_.clear();
   forward_to_agent(64, [sentinel = sentinel_function](BreakAgent& agent) {
     agent.stop_requested = true;
@@ -532,9 +531,14 @@ void ControlService::stage_service_program(vt::FilterProgram program) {
 }
 
 void ControlService::respond(const Request& request, Status status, double projected) {
+  respond(request.session, request.seq, status, projected);
+}
+
+void ControlService::respond(SessionId session, std::uint32_t seq, Status status,
+                             double projected) {
   Response response;
-  response.session = request.session;
-  response.seq = request.seq;
+  response.session = session;
+  response.seq = seq;
   response.status = status;
   response.projected_fraction = projected;
   send_response(std::move(response));

@@ -155,8 +155,12 @@ class ControlService {
     sim::TimeNs deadline = 0;
   };
 
+  /// A denied instrument request waiting for headroom, its names already
+  /// resolved so retries never touch strings.
   struct QueuedAdmit {
-    Request request;
+    SessionId session = 0;
+    std::uint32_t seq = 0;
+    std::vector<image::FunctionId> fns;
     sim::TimeNs enqueued = 0;
     sim::TimeNs deadline = 0;  ///< 0 = none
   };
@@ -186,8 +190,11 @@ class ControlService {
     std::uint64_t sub_drops = 0;
   };
 
-  void handle_instrument(const Request& request, bool from_queue);
-  bool try_admit(const Request& request, bool allow_queue, sim::TimeNs deadline);
+  void handle_instrument(const Request& request);
+  /// Grant `fns` if they fit and start its patch; false (nothing sent, nothing
+  /// changed) when the admission controller denies it.
+  bool try_admit(SessionId session, std::uint32_t seq,
+                 const std::vector<image::FunctionId>& fns, sim::TimeNs deadline);
   /// One session's deferred commands: queued admissions + patches in flight.
   int session_load(SessionId session) const;
   void stage_service_program(vt::FilterProgram program);
@@ -197,6 +204,7 @@ class ControlService {
   void on_window(const WindowReport& report);
   void retry_queue();
   void respond(const Request& request, Status status, double projected = 0.0);
+  void respond(SessionId session, std::uint32_t seq, Status status, double projected = 0.0);
   void send_response(Response response);
   void enqueue_patch(PatchOp op);
   void forward_to_agent(std::int64_t bytes, std::function<void(BreakAgent&)> mutate);
@@ -220,7 +228,7 @@ class ControlService {
 
   std::deque<PatchOp> patch_queue_;
   std::unique_ptr<sim::Condition> patch_ready_;
-  std::deque<QueuedAdmit> queue_;
+  std::vector<QueuedAdmit> queue_;  ///< FIFO, compacted in place by retry_queue()
   std::vector<WindowRecord> windows_;
   std::uint64_t responses_sent_ = 0;
   /// Patch responses in flight per session (overload accounting).

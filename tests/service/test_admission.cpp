@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
+
+#include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace dyntrace::service {
 namespace {
@@ -225,6 +231,173 @@ TEST(Admission, RepeatGrantIsIdempotent) {
   EXPECT_TRUE(repeat.install.empty());
   EXPECT_EQ(ctl.holders(0), 1);
   EXPECT_EQ(ctl.release(0).remove, (std::vector<image::FunctionId>{0}));
+}
+
+
+// --- memo oracle ---------------------------------------------------------------
+
+/// The test's own view of the controller: which session holds what, which
+/// functions are filtered, and which rates were fed while held.  The priced
+/// fraction is summed from it in id order with the same per-term pricing.
+struct OracleModel {
+  control::PairPrice price;
+  double default_rate = 0.0;
+  std::shared_ptr<const image::SymbolTable> symbols;
+  std::map<SessionId, std::set<image::FunctionId>> held;
+  std::vector<bool> filtered;
+  std::map<image::FunctionId, double> rates;
+
+  int holders(image::FunctionId fn) const {
+    int n = 0;
+    for (const auto& [session, fns] : held) n += fns.count(fn) > 0 ? 1 : 0;
+    return n;
+  }
+  double priced() const {
+    double total = 0.0;
+    for (image::FunctionId fn = 0; fn < filtered.size(); ++fn) {
+      if (holders(fn) == 0) continue;
+      const auto rate = rates.find(fn);
+      total += control::overhead_fraction(filtered[fn] ? price.residual : price.active,
+                                          rate != rates.end() ? rate->second : default_rate);
+    }
+    return total;
+  }
+  image::FunctionId id(const std::string& name) const { return symbols->find(name)->id; }
+};
+
+void expect_same(const AdmitResult& a, const AdmitResult& b) {
+  EXPECT_EQ(a.decision, b.decision);
+  EXPECT_EQ(a.install, b.install);
+  ASSERT_EQ(a.directives.size(), b.directives.size());
+  for (std::size_t i = 0; i < a.directives.size(); ++i) {
+    EXPECT_EQ(a.directives[i].activate, b.directives[i].activate);
+    EXPECT_EQ(a.directives[i].pattern, b.directives[i].pattern);
+  }
+  EXPECT_EQ(a.projected_fraction, b.projected_fraction);
+}
+
+/// Seeded random admit / release / update_rate / arbitrate / replay runs.
+/// After every operation priced_fraction() must equal the oracle's sum bit
+/// for bit -- a stale memo shows as a mismatch.  `ctl` sees every operation;
+/// `twin` never sees the admits that `ctl` denied, so any trace a denial
+/// left behind would make the two diverge in a later decision.
+TEST(Admission, MemoizedPricedFractionMatchesAnIndependentSum) {
+  constexpr int kFns = 12;
+  std::uint64_t denials = 0, degrades = 0, flips = 0, replays = 0, releases = 0;
+  for (const sim::TimeNs residual : {sim::TimeNs{500}, sim::TimeNs{9'000}}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " residual " << residual);
+      const auto symbols = make_symbols(kFns);
+      const control::PairPrice price{20'000, residual};
+      const AdmissionOptions options{0.05, 1000.0};
+      AdmissionController ctl(symbols, price, options);
+      AdmissionController twin(symbols, price, options);
+      OracleModel model{price, options.default_rate_hz, symbols, {}, std::vector<bool>(kFns), {}};
+      Rng rng(seed);
+      for (int step = 0; step < 300; ++step) {
+        const SessionId session = static_cast<SessionId>(rng.next_below(6));
+        switch (rng.next_below(8)) {
+          case 0:
+          case 1:
+          case 2: {
+            std::vector<image::FunctionId> fns;
+            const int n = 1 + static_cast<int>(rng.next_below(4));
+            for (int k = 0; k < n; ++k) {
+              fns.push_back(static_cast<image::FunctionId>(rng.next_below(kFns)));
+            }
+            const std::vector<int> before_holders = [&] {
+              std::vector<int> h;
+              for (image::FunctionId fn = 0; fn < kFns; ++fn) h.push_back(ctl.holders(fn));
+              return h;
+            }();
+            const std::size_t before_installed = ctl.installed_count();
+            const AdmitResult result = ctl.admit(session, fns);
+            if (result.decision == AdmitDecision::kDenied) {
+              ++denials;
+              for (image::FunctionId fn = 0; fn < kFns; ++fn) {
+                EXPECT_EQ(ctl.holders(fn), before_holders[fn]);
+              }
+              EXPECT_EQ(ctl.installed_count(), before_installed);
+              EXPECT_EQ(result.projected_fraction, model.priced());
+              break;
+            }
+            expect_same(result, twin.admit(session, fns));
+            if (result.decision == AdmitDecision::kDegraded) ++degrades;
+            for (const image::FunctionId fn : result.install) model.filtered[fn] = false;
+            for (const auto& directive : result.directives) {
+              model.filtered[model.id(directive.pattern)] = !directive.activate;
+            }
+            model.held[session].insert(fns.begin(), fns.end());
+            break;
+          }
+          case 3: {
+            const ReleaseResult a = ctl.release(session);
+            const ReleaseResult b = twin.release(session);
+            EXPECT_EQ(a.remove, b.remove);
+            EXPECT_EQ(a.directives.size(), b.directives.size());
+            releases += model.held.erase(session);
+            for (const image::FunctionId fn : a.remove) model.filtered[fn] = false;
+            break;
+          }
+          case 4: {
+            // Out-of-range and unheld ids too: those must be ignored.
+            const auto fn = static_cast<image::FunctionId>(rng.next_below(kFns + 2));
+            const double rate = rng.uniform(0.0, 6000.0);
+            ctl.update_rate(fn, rate);
+            twin.update_rate(fn, rate);
+            if (fn < kFns && model.holders(fn) > 0) model.rates[fn] = rate;
+            EXPECT_EQ(ctl.rate_updates_ignored(), twin.rate_updates_ignored());
+            break;
+          }
+          case 5: {
+            const ArbitrateResult a = ctl.arbitrate();
+            const ArbitrateResult b = twin.arbitrate();
+            EXPECT_EQ(a.flipped, b.flipped);
+            EXPECT_EQ(a.at_floor, b.at_floor);
+            EXPECT_EQ(a.fairshare_flips, b.fairshare_flips);
+            flips += a.flipped.size();
+            for (const image::FunctionId fn : a.flipped) model.filtered[fn] = true;
+            break;
+          }
+          default: {
+            // A program mixing literal names and globs, as a safe point
+            // would apply it.
+            vt::FilterProgram program;
+            const int n = 1 + static_cast<int>(rng.next_below(3));
+            for (int k = 0; k < n; ++k) {
+              const bool activate = rng.next_below(2) == 0;
+              const int fn = static_cast<int>(rng.next_below(kFns));
+              program.push_back(
+                  {activate, rng.next_below(4) == 0 ? "fn1*" : "fn" + std::to_string(fn)});
+            }
+            ctl.replay(program);
+            twin.replay(program);
+            ++replays;
+            for (const auto& directive : program) {
+              for (const image::FunctionInfo& f : symbols->all()) {
+                if (str::glob_match(directive.pattern, f.name) && model.holders(f.id) > 0) {
+                  model.filtered[f.id] = !directive.activate;
+                }
+              }
+            }
+            break;
+          }
+        }
+        ASSERT_EQ(ctl.priced_fraction(), model.priced()) << "step " << step;
+        ASSERT_EQ(twin.priced_fraction(), ctl.priced_fraction()) << "step " << step;
+        for (image::FunctionId fn = 0; fn < kFns; ++fn) {
+          ASSERT_EQ(ctl.holders(fn), model.holders(fn)) << "fn " << fn;
+          ASSERT_EQ(ctl.filtered(fn), model.filtered[fn]) << "fn " << fn;
+        }
+      }
+    }
+  }
+  // The runs must have reached every path the memo has to follow.
+  EXPECT_GT(denials, 0u);
+  EXPECT_GT(degrades, 0u);
+  EXPECT_GT(flips, 0u);
+  EXPECT_GT(replays, 0u);
+  EXPECT_GT(releases, 0u);
 }
 
 }  // namespace
